@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: tier1 tier2 perturb build test vet race bench bench-smoke bench-graph bench-p2p bench-ranks bench-dense bench-telemetry bench-analysis scale-smoke analyze-smoke async-smoke clean
+.PHONY: tier1 tier2 perturb build test vet race bench bench-smoke bench-graph bench-p2p bench-ranks bench-dense bench-telemetry bench-analysis scale-smoke analyze-smoke async-smoke fuzz-smoke clean
 
 # tier1 is the gate every change must keep green: full build + vet +
 # full test suite.
@@ -61,7 +61,7 @@ bench-graph:
 # bench-p2p reproduces the point-to-point hot-path numbers recorded in
 # BENCH_p2p.json.
 bench-p2p:
-	$(GO) test -run xxx -bench 'PingPong|MailboxBacklog|IprobeBacklogMiss|AnySourceFanIn64' -benchmem ./internal/mpi/
+	$(GO) test -run xxx -bench 'PingPong|MailboxBacklog|IprobeBacklogMiss|AnySourceFanIn64|IprobeAnySource64' -benchmem ./internal/mpi/
 
 # bench-ranks reproduces the ranks-scaling curve recorded in
 # BENCH_p2p.json: the 4-round ring + allreduce world at 1K..RANKS ranks
@@ -112,6 +112,15 @@ async-smoke:
 	$(GO) run ./cmd/matchbench -exp ext-async -scale 0.5 -json async_records.json
 	$(GO) test -run 'TestExploreAsyncMaximal|TestExploreQuiesceDetector' -short -v ./internal/sched/
 	RUN_SHAPE_CHECKS=1 SHAPE_SCALE=0.5 $(GO) test -run 'TestPaperShapes/ext-async-beats-rounds' -v ./internal/shape/
+
+# fuzz-smoke runs each native fuzz target for 10s: the mailbox
+# against its linear-scan reference model, and the MatrixMarket and
+# binary graph readers against hostile input. A failing input is saved
+# under the package's testdata/fuzz and replays under plain go test.
+fuzz-smoke:
+	$(GO) test -run xxx -fuzz '^FuzzMailboxDifferential$$' -fuzztime=10s ./internal/mpi/
+	$(GO) test -run xxx -fuzz '^FuzzReadMatrixMarket$$' -fuzztime=10s ./internal/graph/
+	$(GO) test -run xxx -fuzz '^FuzzDecode$$' -fuzztime=10s ./internal/graph/
 
 clean:
 	$(GO) clean ./...

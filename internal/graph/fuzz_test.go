@@ -16,6 +16,10 @@ func FuzzReadMatrixMarket(f *testing.F) {
 	f.Add("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 2 1.0\n")
 	f.Add("%%MatrixMarket matrix coordinate real general\n0 0 0\n")
 	f.Add("garbage")
+	f.Add("%%MatrixMarket matrix coordinate real general\n-5 -5 0\n")
+	f.Add("%%MatrixMarket matrix coordinate real general\n2 2 -1\n")
+	f.Add("%%MatrixMarket matrix coordinate pattern general\n99999999999 99999999999 0\n")
+	f.Add("%%MatrixMarket matrix coordinate pattern general\n999999999 999999999 0\n")
 	f.Fuzz(func(t *testing.T, in string) {
 		if len(in) > 1<<16 {
 			return

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -19,8 +20,14 @@ import (
 // (both triangle conventions collapse to the same simple graph);
 // pattern matrices get unit weights.
 
+// mmMaxIsolated bounds how many vertices a size line may declare beyond
+// the 2*nnz that its entries can touch.
+const mmMaxIsolated = 1 << 20
+
 // ReadMatrixMarket parses a Matrix Market coordinate stream into an
-// undirected weighted graph. Rectangular matrices are rejected.
+// undirected weighted graph. Rectangular matrices are rejected, and so
+// are size lines declaring more than mmMaxIsolated vertices beyond what
+// the entries can touch.
 func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -70,8 +77,22 @@ func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 		}
 		break
 	}
+	if rows < 0 || cols < 0 || nnz < 0 {
+		return nil, fmt.Errorf("graph: negative size line %d %d %d", rows, cols, nnz)
+	}
+	if rows > math.MaxInt32 || cols > math.MaxInt32 {
+		// CSR.Adj stores vertex ids as int32.
+		return nil, fmt.Errorf("graph: %dx%d matrix exceeds the int32 vertex-id range", rows, cols)
+	}
 	if rows != cols {
 		return nil, fmt.Errorf("graph: adjacency matrix must be square, got %dx%d", rows, cols)
+	}
+	// At most 2*nnz vertices have an incident entry; the rest are
+	// isolated. Cap those so a bare size line cannot commit gigabytes of
+	// CSR offsets (8 bytes per declared vertex) to vertices no entry
+	// touches.
+	if rows-mmMaxIsolated > 2*min(nnz, math.MaxInt32) {
+		return nil, fmt.Errorf("graph: %d vertices declared for only %d entries (more than %d isolated)", rows, nnz, mmMaxIsolated)
 	}
 
 	b := NewBuilder(rows)

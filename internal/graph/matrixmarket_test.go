@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -77,19 +78,40 @@ func TestReadMatrixMarketPattern(t *testing.T) {
 
 func TestReadMatrixMarketErrors(t *testing.T) {
 	cases := map[string]string{
-		"empty":       "",
-		"not mm":      "hello\n1 1 1\n",
-		"array":       "%%MatrixMarket matrix array real general\n2 2 4\n",
-		"complex":     "%%MatrixMarket matrix coordinate complex general\n2 2 1\n1 2 1 0\n",
-		"rectangular": "%%MatrixMarket matrix coordinate real general\n2 3 1\n1 2 1.0\n",
-		"range":       "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 5 1.0\n",
-		"truncated":   "%%MatrixMarket matrix coordinate real general\n3 3 5\n1 2 1.0\n",
-		"bad value":   "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 2 xyz\n",
+		"empty":        "",
+		"not mm":       "hello\n1 1 1\n",
+		"array":        "%%MatrixMarket matrix array real general\n2 2 4\n",
+		"complex":      "%%MatrixMarket matrix coordinate complex general\n2 2 1\n1 2 1 0\n",
+		"rectangular":  "%%MatrixMarket matrix coordinate real general\n2 3 1\n1 2 1.0\n",
+		"range":        "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 5 1.0\n",
+		"truncated":    "%%MatrixMarket matrix coordinate real general\n3 3 5\n1 2 1.0\n",
+		"bad value":    "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 2 xyz\n",
+		"negative n":   "%%MatrixMarket matrix coordinate real general\n-5 -5 0\n",
+		"negative nnz": "%%MatrixMarket matrix coordinate real general\n2 2 -1\n",
+		"n > int32":    "%%MatrixMarket matrix coordinate pattern general\n99999999999 99999999999 0\n",
+		"n = 2^31":     "%%MatrixMarket matrix coordinate pattern general\n2147483648 2147483648 0\n",
+		"isolated":     "%%MatrixMarket matrix coordinate pattern general\n999999999 999999999 0\n",
+		"sparse n":     "%%MatrixMarket matrix coordinate pattern general\n1048579 1048579 1\n1 2\n",
 	}
 	for name, in := range cases {
 		if _, err := ReadMatrixMarket(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+}
+
+// TestReadMatrixMarketIsolatedBound pins the isolated-vertex cap at its
+// edge: one entry touches two vertices, so 2+mmMaxIsolated vertices are
+// accepted and one more is rejected (see TestReadMatrixMarketErrors).
+func TestReadMatrixMarketIsolatedBound(t *testing.T) {
+	n := 2 + mmMaxIsolated
+	in := fmt.Sprintf("%%%%MatrixMarket matrix coordinate pattern general\n%d %d 1\n1 2\n", n, n)
+	g, err := ReadMatrixMarket(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NumVertices() != n || g.NumEdges() != 1 {
+		t.Fatalf("V=%d E=%d, want %d and 1", g.NumVertices(), g.NumEdges(), n)
 	}
 }
 

@@ -68,3 +68,44 @@ func TestAllreduceScalarZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestIprobeAnySourceZeroAlloc pins the wildcard polling loop of the
+// Send-Recv driver: with 63 sources holding queued traffic, an
+// Iprobe(AnySource, AnyTag) hit followed by the exact RecvInto it
+// names must not allocate. Every message is queued before the
+// measurement, so the loop never misses and senders do not run inside
+// it.
+func TestIprobeAnySourceZeroAlloc(t *testing.T) {
+	const procs, runs = 64, 125
+	const warm = procs - 1
+	const perSender = (warm + runs + 1) / (procs - 1)
+	_, err := RunChecked(procs, func(c *Comm) error {
+		if c.Rank() != 0 {
+			for k := 0; k < perSender; k++ {
+				c.Isend(0, k%3, []int64{int64(c.Rank()), int64(k), 0})
+			}
+			c.Barrier()
+			return nil
+		}
+		c.Barrier()
+		var buf [3]int64
+		probeRecv := func() {
+			ok, st := c.Iprobe(AnySource, AnyTag)
+			if !ok {
+				t.Errorf("Iprobe missed with %d messages queued", c.PendingMessages())
+				return
+			}
+			c.RecvInto(st.Source, st.Tag, buf[:])
+		}
+		for i := 0; i < warm; i++ {
+			probeRecv()
+		}
+		if avg := testing.AllocsPerRun(runs, probeRecv); avg != 0 {
+			t.Errorf("Iprobe(AnySource, AnyTag) + RecvInto over %d sources: %.2f allocs/op, want 0", procs-1, avg)
+		}
+		return nil
+	}, WithDeadline(30*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+}

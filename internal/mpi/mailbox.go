@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -34,14 +35,18 @@ import (
 // release each bump the counter, so equality proves the entry still
 // refers to the live, untaken incarnation owned by this mailbox.
 //
-// Within one (source, communicator) the sender's virtual clock is
-// monotone, so FIFO order is arrival order and the front of a queue is
-// its earliest message. This makes per-source FIFO delivery (MPI's
-// non-overtaking guarantee) structural rather than incidental. AnySource
-// wildcards take the minimum virtual-arrival front across the buckets
-// that currently hold user traffic — O(#sources-with-pending), not
-// O(#messages) — which preserves the earliest-virtual-arrival selection
-// the timing model depends on (see the comment on matchUserLocked).
+// Each (source, communicator) arrival FIFO is in send order, which is
+// MPI's non-overtaking guarantee made structural: a receive only ever
+// takes a FIFO front. Arrival stamps within one FIFO are monotone unless
+// latency jitter is perturbing the run, so the front is usually but not
+// always the FIFO's earliest arrival. AnySource wildcards take the
+// minimum (arrive, src) front across sources, which preserves the
+// earliest-virtual-arrival selection the timing model depends on (see
+// the comment on matchUserLocked). Each communicator keeps a min-heap
+// of the live fronts of its arrival FIFOs, so an AnySource/AnyTag probe
+// reads the heap root in O(1) and a dequeue re-keys one entry in
+// O(log sources). AnySource with an exact tag, and the perturbed tie
+// path, scan only that communicator's heap entries.
 //
 // The per-bucket indexes are small slices of inline rings, not maps: a
 // rank hears from a handful of sources on a handful of (comm, tag)
@@ -62,10 +67,9 @@ import (
 // from its process-graph neighbors, not from all P peers, so eager
 // per-source bucket structs would cost O(P) per mailbox = O(P^2) per
 // world. Either way buckets are allocated in chunks on first traffic,
-// and buckets holding live user traffic are linked into an active list,
-// so wildcard scans never touch the table. Chunk storage is
-// pointer-stable: index entries and the active list hold *srcBucket
-// safely across appends.
+// and wildcard matching goes through the front heaps, never the table.
+// Chunk storage is pointer-stable: index entries and heap entries hold
+// *srcBucket safely across appends.
 //
 // Messages themselves are pooled: see message.release. Payloads of up to
 // inlineWords words (covering the 3-word protocol records that dominate
@@ -240,9 +244,15 @@ type tagKey struct {
 }
 
 // userq is one per-communicator arrival FIFO: every user-level message
-// from this bucket's source in communicator mctx, in arrival order.
+// from this bucket's source in communicator mctx, in send order. While
+// the FIFO holds a live message its ring head is that message (take
+// re-reads front whenever the front dies), hpos places it in the
+// communicator's front heap and heap names that heap; an empty FIFO has
+// n == 0 and hpos == -1.
 type userq struct {
 	mctx int32
+	hpos int32 // position in the mctx front heap, or -1
+	heap int32 // index of the mctx front heap in mailbox.fronts (valid while hpos >= 0)
 	q    msgq
 }
 
@@ -271,29 +281,27 @@ type srcBucket struct {
 	intl   []intq  // per live-itag FIFOs; slots retire in place
 	tagIdx map[tagKey]int
 	src    int32 // source rank this bucket indexes
-	nUser  int32 // live user-level messages in this bucket
-	alive  int32 // position in mailbox.active, or -1
 }
 
-// userqFor returns the arrival FIFO for mctx, creating it if needed.
-func (b *srcBucket) userqFor(mctx int32) *msgq {
+// userIndex returns the position of the arrival FIFO for mctx in b.user,
+// or -1. Positions are stable: FIFOs are never removed.
+func (b *srcBucket) userIndex(mctx int32) int {
 	for i := range b.user {
 		if b.user[i].mctx == mctx {
-			return &b.user[i].q
+			return i
 		}
 	}
-	b.user = append(b.user, userq{mctx: mctx})
-	return &b.user[len(b.user)-1].q
+	return -1
 }
 
-// userPeek returns the arrival FIFO for mctx, or nil.
-func (b *srcBucket) userPeek(mctx int32) *msgq {
-	for i := range b.user {
-		if b.user[i].mctx == mctx {
-			return &b.user[i].q
-		}
+// userqFor returns the position of the arrival FIFO for mctx, creating
+// the FIFO if needed.
+func (b *srcBucket) userqFor(mctx int32) int {
+	if i := b.userIndex(mctx); i >= 0 {
+		return i
 	}
-	return nil
+	b.user = append(b.user, userq{mctx: mctx, hpos: -1})
+	return len(b.user) - 1
 }
 
 // tagqFor returns the (mctx, tag) FIFO, creating it if needed. When the
@@ -360,6 +368,100 @@ func (b *srcBucket) intlqFor(itag int64) *msgq {
 	return &b.intl[len(b.intl)-1].q
 }
 
+// frontEnt is one front-heap entry: the arrival FIFO b.user[ui], keyed
+// by its live front m. arrive and src repeat m's so sifting compares
+// without dereferencing the message.
+type frontEnt struct {
+	arrive float64
+	src    int32
+	ui     int32
+	m      *message
+	b      *srcBucket
+}
+
+// before orders fronts by (arrive, src): earliest virtual arrival first,
+// ties toward the lower source rank.
+func (e *frontEnt) before(f *frontEnt) bool {
+	return e.arrive < f.arrive || (e.arrive == f.arrive && e.src < f.src)
+}
+
+// frontHeap is a binary min-heap over the arrival FIFOs of communicator
+// mctx that hold a live message, one entry per source bucket. Every
+// move writes the entry's position back into its userq.hpos.
+type frontHeap struct {
+	mctx int32
+	h    []frontEnt
+}
+
+func (fh *frontHeap) set(i int, e frontEnt) {
+	fh.h[i] = e
+	e.b.user[e.ui].hpos = int32(i)
+}
+
+func (fh *frontHeap) push(e frontEnt) {
+	fh.h = append(fh.h, e)
+	fh.up(len(fh.h) - 1)
+}
+
+func (fh *frontHeap) up(i int) {
+	e := fh.h[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.before(&fh.h[p]) {
+			break
+		}
+		fh.set(i, fh.h[p])
+		i = p
+	}
+	fh.set(i, e)
+}
+
+func (fh *frontHeap) down(i int) {
+	e := fh.h[i]
+	n := len(fh.h)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && fh.h[r].before(&fh.h[c]) {
+			c = r
+		}
+		if !fh.h[c].before(&e) {
+			break
+		}
+		fh.set(i, fh.h[c])
+		i = c
+	}
+	fh.set(i, e)
+}
+
+// fix restores heap order after h[i]'s key changed. Within one FIFO
+// arrivals are not monotone under jitter, so the new front may be
+// earlier or later than the old one: sift both ways.
+func (fh *frontHeap) fix(i int) {
+	if i > 0 && fh.h[i].before(&fh.h[(i-1)/2]) {
+		fh.up(i)
+	} else {
+		fh.down(i)
+	}
+}
+
+// remove deletes h[i] and marks its FIFO as out of the heap.
+func (fh *frontHeap) remove(i int) {
+	e := &fh.h[i]
+	e.b.user[e.ui].hpos = -1
+	last := len(fh.h) - 1
+	if i != last {
+		fh.set(i, fh.h[last])
+	}
+	fh.h[last] = frontEnt{}
+	fh.h = fh.h[:last]
+	if i != last {
+		fh.fix(i)
+	}
+}
+
 // mailbox is one rank's receive queue. Senders push under mu; the single
 // owning rank matches and dequeues. The owner parks its task (not a
 // condvar) when nothing matches; push unparks it, so a sender's wakeup
@@ -370,7 +472,8 @@ type mailbox struct {
 	dense    []*srcBucket         // index by src; non-nil for small worlds, slots lazily filled
 	sparse   map[int32]*srcBucket // lazily populated for large worlds
 	used     []*srcBucket         // buckets created since the mailbox was built
-	active   []*srcBucket         // buckets with nUser > 0, unordered
+	fronts   []frontHeap          // one front heap per communicator; never removed
+	cand     []frontEnt           // scratch for perturbed wildcard selection
 	bfree    []*srcBucket         // preallocated buckets (chunk remainder)
 	nUser    int                  // live user-level messages across all buckets
 	parked   bool                 // the owner's task is parked on this mailbox
@@ -378,7 +481,7 @@ type mailbox struct {
 	hw       int64                // high-water of queued
 	poisoned bool
 	// pert, when non-nil, permutes wildcard selection among concurrently
-	// available bucket fronts (sched Ties class). It is the owning
+	// available FIFO fronts (sched Ties class). It is the owning
 	// rank's stream: matchUserLocked runs only on the owner's goroutine,
 	// so no additional synchronization is needed beyond mu.
 	pert *sched.Rank
@@ -429,7 +532,7 @@ func (mb *mailbox) newBucket(src int32) *srcBucket {
 	b := mb.bfree[n]
 	mb.bfree[n] = nil
 	mb.bfree = mb.bfree[:n]
-	b.src, b.alive = src, -1
+	b.src = src
 	mb.used = append(mb.used, b)
 	return b
 }
@@ -486,13 +589,15 @@ func (mb *mailbox) push(m *message) {
 	if m.itag != 0 {
 		b.intlqFor(m.itag).push(m)
 	} else {
-		b.userqFor(m.mctx).push(m)
+		ui := b.userqFor(m.mctx)
+		u := &b.user[ui]
+		u.q.push(m)
 		b.tagqFor(m.mctx, m.tag).push(m)
-		b.nUser++
 		mb.nUser++
-		if b.alive < 0 {
-			b.alive = int32(len(mb.active))
-			mb.active = append(mb.active, b)
+		if u.hpos < 0 {
+			// First live message: it is the FIFO's new front.
+			u.heap = mb.frontsFor(m.mctx)
+			mb.fronts[u.heap].push(frontEnt{arrive: m.arrive, src: b.src, ui: int32(ui), m: m, b: b})
 		}
 	}
 	mb.queued += m.bytes
@@ -519,41 +624,53 @@ func (mb *mailbox) parkLocked(t *task) {
 	mb.mu.Lock()
 }
 
-// take finalizes the dequeue of a user-level message found by
-// matchUserLocked: the generation bump kills the entry in the index it
-// was not popped from, and the byte/liveness accounting is updated.
-func (mb *mailbox) take(m *message) {
-	m.gen.Add(1)
-	mb.queued -= m.bytes
-	b := mb.peek(int32(m.src))
-	b.nUser--
-	mb.nUser--
-	if b.nUser == 0 && b.alive >= 0 {
-		last := len(mb.active) - 1
-		moved := mb.active[last]
-		mb.active[b.alive] = moved
-		moved.alive = b.alive
-		mb.active[last] = nil
-		mb.active = mb.active[:last]
-		b.alive = -1
+// frontsPeek returns the front heap of communicator mctx, or nil.
+func (mb *mailbox) frontsPeek(mctx int32) *frontHeap {
+	for i := range mb.fronts {
+		if mb.fronts[i].mctx == mctx {
+			return &mb.fronts[i]
+		}
 	}
+	return nil
 }
 
-// userFront returns the earliest live user-level message from bucket b
-// matching (tag, mctx), consulting the tag index for exact tags and the
-// arrival FIFO for AnyTag. Returns the queue it came from so the caller
-// can pop it.
-func (b *srcBucket) userFront(tag int, mctx int32) (*message, *msgq) {
-	var q *msgq
-	if tag == AnyTag {
-		q = b.userPeek(mctx)
-	} else {
-		q = b.tagPeek(mctx, tag)
+// frontsFor returns the index in mb.fronts of the front heap of
+// communicator mctx, creating the heap if needed. Heaps are never
+// removed, so indices stay valid; communicator ids restart identically
+// in every world, so a pooled mailbox reuses them.
+func (mb *mailbox) frontsFor(mctx int32) int32 {
+	for i := range mb.fronts {
+		if mb.fronts[i].mctx == mctx {
+			return int32(i)
+		}
 	}
-	if q == nil {
-		return nil, nil
+	mb.fronts = append(mb.fronts, frontHeap{mctx: mctx})
+	return int32(len(mb.fronts) - 1)
+}
+
+// take finalizes the dequeue of a user-level message m found by
+// matchUserLocked in arrival FIFO u; the caller has already popped m
+// from the index it was found through. The generation bump kills m's
+// entry in the other index. If m was u's front, the heap entry is
+// re-keyed to the next live front (front() skips m's now-dead arrival
+// entry) or removed.
+func (mb *mailbox) take(m *message, u *userq) {
+	m.gen.Add(1)
+	mb.queued -= m.bytes
+	mb.nUser--
+	fh := &mb.fronts[u.heap]
+	i := int(u.hpos)
+	e := &fh.h[i]
+	if e.m != m {
+		return
 	}
-	return q.front(), q
+	next := u.q.front()
+	if next == nil {
+		fh.remove(i)
+		return
+	}
+	e.m, e.arrive = next, next.arrive
+	fh.fix(i)
 }
 
 // matchUserLocked finds the queued user-level message matching (src, tag)
@@ -567,114 +684,128 @@ func (b *srcBucket) userFront(tag int, mctx int32) (*message, *msgq) {
 // cores) can enqueue a late-stamped message ahead of an early-stamped
 // one, and processing the late one first would ratchet the receiver's
 // clock and contaminate every subsequent reply with artificial delay.
-// Per-source stamps are monotone, so each bucket FIFO is already in
-// arrival order and an AnySource wildcard only has to compare bucket
-// fronts; ties across sources break toward the lower source rank, and
-// messages from one source retain FIFO order, preserving MPI's
-// non-overtaking guarantee.
+// Only FIFO fronts are ever candidates, so messages from one source
+// retain send order (MPI's non-overtaking guarantee). An AnySource
+// wildcard takes the minimum (arrive, src) front: for AnyTag that is the
+// root of the communicator's front heap; for an exact tag it is the
+// minimum over the tag-index fronts of the heap's sources, since a
+// source with a live message on the tag has a live arrival FIFO.
 //
 // Under perturbation (mb.pert with Ties), wildcard selection instead
 // draws uniformly among every front that is concurrently available —
 // arrival no later than max(now, earliest front arrival) — which is
 // exactly the set a real MPI implementation could legally hand back
-// first. Selection still only ever takes bucket fronts, so per-source
-// FIFO holds, and a front is by construction also the front of its
-// (comm, tag) index, so a probed wildcard status stays consistent with
-// the follow-up exact-source receive.
+// first. Selection still only ever takes FIFO fronts, so per-source
+// FIFO holds, and an arrival front is by construction also the front of
+// its (comm, tag) index, so a probed wildcard status stays consistent
+// with the follow-up exact-source receive.
 func (mb *mailbox) matchUserLocked(src, tag int, mctx int32, remove bool, now float64) *message {
 	var (
-		best  *message
-		bestq *msgq
+		m  *message
+		q  *msgq // the index m was found through
+		b  *srcBucket
+		ui int
 	)
 	if src != AnySource {
-		b := mb.peek(int32(src))
-		if b == nil || b.user == nil {
+		if b = mb.peek(int32(src)); b == nil {
 			return nil
 		}
-		best, bestq = b.userFront(tag, mctx)
-	} else if mb.pert != nil && mb.pert.Ties() {
-		best, bestq = mb.pickAnySourceLocked(tag, mctx, now)
+		if ui = b.userIndex(mctx); ui < 0 {
+			return nil
+		}
+		if tag == AnyTag {
+			q = &b.user[ui].q
+		} else if q = b.tagPeek(mctx, tag); q == nil {
+			return nil
+		}
+		if m = q.front(); m == nil {
+			return nil
+		}
 	} else {
-		for _, b := range mb.active {
-			m, q := b.userFront(tag, mctx)
-			if m == nil {
-				continue
-			}
-			if best == nil || m.arrive < best.arrive ||
-				(m.arrive == best.arrive && m.src < best.src) {
-				best, bestq = m, q
+		fh := mb.frontsPeek(mctx)
+		if fh == nil || len(fh.h) == 0 {
+			return nil
+		}
+		var e frontEnt
+		switch {
+		case mb.pert != nil && mb.pert.Ties():
+			e = mb.pickAnySourceLocked(fh, tag, now)
+		case tag == AnyTag:
+			e = fh.h[0]
+		default:
+			for i := range fh.h {
+				c := &fh.h[i]
+				tm := c.tagFront(mctx, tag)
+				if tm != nil && (e.m == nil || tm.arrive < e.arrive || (tm.arrive == e.arrive && c.src < e.src)) {
+					e = *c
+					e.m, e.arrive = tm, tm.arrive
+				}
 			}
 		}
-	}
-	if best == nil {
-		return nil
+		if e.m == nil {
+			return nil
+		}
+		m, b, ui = e.m, e.b, int(e.ui)
+		// m is the head of the index it was selected from.
+		if tag == AnyTag {
+			q = &b.user[ui].q
+		} else {
+			q = b.tagPeek(mctx, tag)
+		}
 	}
 	if remove {
-		bestq.popFront()
-		mb.take(best)
+		q.popFront()
+		mb.take(m, &b.user[ui])
 	}
-	return best
+	return m
 }
 
-// pickAnySourceLocked implements perturbed wildcard selection: among
-// the bucket fronts matching (tag, mctx), every front with virtual
-// arrival <= max(now, earliest arrival) is concurrently available, and
-// one is drawn uniformly from the owner rank's perturbation stream.
-// The draw maps to candidates ordered by (arrive, src) — not by the
-// physical order of mb.active, which depends on goroutine scheduling —
+// tagFront returns the front of e's source in the (mctx, tag) index, or
+// nil when the source has nothing queued on tag.
+func (e *frontEnt) tagFront(mctx int32, tag int) *message {
+	if tq := e.b.tagPeek(mctx, tag); tq != nil {
+		return tq.front()
+	}
+	return nil
+}
+
+// pickAnySourceLocked implements perturbed wildcard selection over the
+// sources in fh: the candidates are each source's front matching tag,
+// every candidate with virtual arrival <= max(now, earliest arrival) is
+// concurrently available, and one is drawn uniformly from the owner
+// rank's perturbation stream. The draw indexes the candidates sorted by
+// (arrive, src) — not the heap's layout, which depends on push order —
 // so a seed replays the same choices given the same candidate sets.
-func (mb *mailbox) pickAnySourceLocked(tag int, mctx int32, now float64) (*message, *msgq) {
-	// Pass 1: earliest front arrival; the availability threshold can
-	// never exclude it.
-	first := false
-	minArrive := 0.0
-	for _, b := range mb.active {
-		m, _ := b.userFront(tag, mctx)
-		if m == nil {
-			continue
-		}
-		if !first || m.arrive < minArrive {
-			first, minArrive = true, m.arrive
-		}
-	}
-	if !first {
-		return nil, nil
-	}
-	thr := minArrive
-	if now > thr {
-		thr = now
-	}
-	// Pass 2: count the available candidates and draw one.
-	k := 0
-	for _, b := range mb.active {
-		if m, _ := b.userFront(tag, mctx); m != nil && m.arrive <= thr {
-			k++
-		}
-	}
-	pick := mb.pert.Pick(k)
-	// Pass 3: select the pick-th candidate in (arrive, src) order by
-	// counting, for each candidate, how many others precede it. O(k^2)
-	// in the candidate count, which is bounded by the source count.
-	for _, b := range mb.active {
-		m, q := b.userFront(tag, mctx)
-		if m == nil || m.arrive > thr {
-			continue
-		}
-		ord := 0
-		for _, b2 := range mb.active {
-			m2, _ := b2.userFront(tag, mctx)
-			if m2 == nil || m2 == m || m2.arrive > thr {
+// Returns the zero entry when no source has a match.
+func (mb *mailbox) pickAnySourceLocked(fh *frontHeap, tag int, now float64) frontEnt {
+	c := mb.cand[:0]
+	for _, e := range fh.h {
+		if tag != AnyTag {
+			if e.m = e.tagFront(fh.mctx, tag); e.m == nil {
 				continue
 			}
-			if m2.arrive < m.arrive || (m2.arrive == m.arrive && m2.src < m.src) {
-				ord++
-			}
+			e.arrive = e.m.arrive
 		}
-		if ord == pick {
-			return m, q
-		}
+		c = append(c, e)
 	}
-	panic("mpi: pickAnySourceLocked: pick out of range")
+	var pick frontEnt
+	if len(c) > 0 {
+		slices.SortFunc(c, func(a, b frontEnt) int {
+			if a.before(&b) {
+				return -1
+			}
+			return 1 // sources are distinct, so no two candidates tie
+		})
+		thr := max(now, c[0].arrive)
+		k := 1
+		for k < len(c) && c[k].arrive <= thr {
+			k++
+		}
+		pick = c[mb.pert.Pick(k)]
+	}
+	clear(c) // drop message and bucket pointers until the next pick
+	mb.cand = c[:0]
+	return pick
 }
 
 // matchInternalLocked finds (and, if remove is set, dequeues) the oldest
@@ -735,6 +866,7 @@ func (mb *mailbox) reset() {
 		for i := range b.user {
 			drainQueue(&b.user[i].q) // primary index: releases each live message
 			b.user[i].q.trim()
+			b.user[i].hpos = -1
 		}
 		for i := range b.tags {
 			drainQueue(&b.tags[i].q) // secondary index: all entries now dead
@@ -745,11 +877,11 @@ func (mb *mailbox) reset() {
 			b.intl[i].itag = 0
 			b.intl[i].q.trim()
 		}
-		b.nUser = 0
-		b.alive = -1
 	}
-	clear(mb.active)
-	mb.active = mb.active[:0]
+	for i := range mb.fronts {
+		clear(mb.fronts[i].h)
+		mb.fronts[i].h = mb.fronts[i].h[:0]
+	}
 	mb.nUser = 0
 	mb.owner = nil
 	mb.parked = false

@@ -410,6 +410,14 @@ func TestMailboxSparseMapSpill(t *testing.T) {
 	}
 }
 
+// arrivalq returns bucket b's arrival FIFO for communicator mctx, or nil.
+func arrivalq(b *srcBucket, mctx int32) *msgq {
+	if i := b.userIndex(mctx); i >= 0 {
+		return &b.user[i].q
+	}
+	return nil
+}
+
 // TestMailboxRingTrimOnReset pins the backlog-spike shedding (the old
 // unbounded recycled-queue list): after a burst grows a ring well past
 // qRetainEnts, reset must cap the retained capacity, while a
@@ -422,18 +430,18 @@ func TestMailboxRingTrimOnReset(t *testing.T) {
 	}
 	pushAt(mb, 2, 2, 1, 0) // steady-sized ring on another source
 	b1 := mb.peek(1)
-	if c := cap(b1.userPeek(0).buf); c < burst {
+	if c := cap(arrivalq(b1, 0).buf); c < burst {
 		t.Fatalf("burst ring capacity %d, want >= %d", c, burst)
 	}
 	mb.reset() // releases the backlog and trims spike-sized rings
-	if c := cap(b1.userPeek(0).buf); c > qRetainEnts {
+	if c := cap(arrivalq(b1, 0).buf); c > qRetainEnts {
 		t.Errorf("user ring kept capacity %d after reset, want <= %d", c, qRetainEnts)
 	}
 	if c := cap(b1.tagPeek(0, 2).buf); c > qRetainEnts {
 		t.Errorf("tag ring kept capacity %d after reset, want <= %d", c, qRetainEnts)
 	}
 	b2 := mb.peek(2)
-	if q := b2.userPeek(0); q == nil || cap(q.buf) == 0 || cap(q.buf) > qRetainEnts {
+	if q := arrivalq(b2, 0); q == nil || cap(q.buf) == 0 || cap(q.buf) > qRetainEnts {
 		t.Errorf("steady ring not retained for reuse: %+v", q)
 	}
 	if got := mb.pendingUser(); got != 0 {
