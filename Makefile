@@ -61,7 +61,7 @@ bench-graph:
 # bench-p2p reproduces the point-to-point hot-path numbers recorded in
 # BENCH_p2p.json.
 bench-p2p:
-	$(GO) test -run xxx -bench 'PingPong|MailboxBacklog|IprobeBacklogMiss|AnySourceFanIn64|IprobeAnySource64' -benchmem ./internal/mpi/
+	$(GO) test -run xxx -bench 'PingPong|MailboxBacklog|IprobeBacklogMiss|AnySourceFanIn64|IprobeAnySource64|NbrAlltoallv64' -benchmem ./internal/mpi/
 
 # bench-ranks reproduces the ranks-scaling curve recorded in
 # BENCH_p2p.json: the 4-round ring + allreduce world at 1K..RANKS ranks
@@ -114,11 +114,13 @@ async-smoke:
 	RUN_SHAPE_CHECKS=1 SHAPE_SCALE=0.5 $(GO) test -run 'TestPaperShapes/ext-async-beats-rounds' -v ./internal/shape/
 
 # fuzz-smoke runs each native fuzz target for 10s: the mailbox
-# against its linear-scan reference model, and the MatrixMarket and
-# binary graph readers against hostile input. A failing input is saved
+# against its linear-scan reference model, neighborhood-collective
+# delivery against its direct-delivery reference, and the MatrixMarket
+# and binary graph readers against hostile input. A failing input is saved
 # under the package's testdata/fuzz and replays under plain go test.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz '^FuzzMailboxDifferential$$' -fuzztime=10s ./internal/mpi/
+	$(GO) test -run xxx -fuzz '^FuzzNbrDifferential$$' -fuzztime=10s ./internal/mpi/
 	$(GO) test -run xxx -fuzz '^FuzzReadMatrixMarket$$' -fuzztime=10s ./internal/graph/
 	$(GO) test -run xxx -fuzz '^FuzzDecode$$' -fuzztime=10s ./internal/graph/
 

@@ -65,6 +65,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "commmatrix: %d ranks out of range (want 2..%d)\n", *p, 1<<20)
 		return 2
 	}
+	// Generator sizes: RMAT has 2^scale vertices (int32 ids), and SBP
+	// puts n/150 vertices in each block, so it needs at least one block.
+	if *in == "" {
+		if *family == "rmat" && (*scale < 1 || *scale > 30) {
+			fmt.Fprintf(stderr, "commmatrix: -scale %d out of range (want 1..30)\n", *scale)
+			return 2
+		}
+		if minN := map[string]int{"social": 1, "sbp": 150}[*family]; minN > 0 && *n < minN {
+			fmt.Fprintf(stderr, "commmatrix: -n %d too small for -family %s (want >= %d)\n", *n, *family, minN)
+			return 2
+		}
+	}
 
 	var g *graph.CSR
 	var err error

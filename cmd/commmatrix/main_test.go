@@ -25,6 +25,12 @@ func TestUsageErrors(t *testing.T) {
 		{"ranks too small", []string{"-family", "rmat", "-scale", "8", "-ranks", "1"}},
 		{"ranks too large", []string{"-family", "rmat", "-scale", "8", "-ranks", "2097152"}},
 		{"p too small", []string{"-family", "rmat", "-scale", "8", "-p", "0"}},
+		{"rmat scale negative", []string{"-family", "rmat", "-scale", "-1"}},
+		{"rmat scale zero", []string{"-family", "rmat", "-scale", "0"}},
+		{"rmat scale too large", []string{"-family", "rmat", "-scale", "31"}},
+		{"sbp n below one block", []string{"-family", "sbp", "-n", "100"}},
+		{"social n zero", []string{"-family", "social", "-n", "0"}},
+		{"social n negative", []string{"-family", "social", "-n", "-5"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if code, _, errb := runCLI(t, tc.args...); code != 2 {

@@ -88,6 +88,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "matchbench: -exp required (or -list); e.g. matchbench -exp fig4a")
 		return 2
 	}
+	if err := harness.CheckRunFlags(*scale, *timeout, *traceCap, *roundCap, *ranks); err != nil {
+		fmt.Fprintln(stderr, "matchbench:", err)
+		return 2
+	}
 	ids := harness.IDs()
 	if *exp != "all" {
 		if harness.Find(*exp) == nil {
@@ -126,11 +130,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 				fmt.Fprintln(stderr, "matchbench: memprofile:", err)
 			}
 		}()
-	}
-
-	if *ranks != 0 && (*ranks < 2 || *ranks > 1<<20) {
-		fmt.Fprintf(stderr, "matchbench: -ranks %d out of range (want 0 or 2..%d)\n", *ranks, 1<<20)
-		return 2
 	}
 
 	cfg := harness.DefaultConfig()

@@ -73,6 +73,30 @@ func TestBadRanksIsUsageError(t *testing.T) {
 	}
 }
 
+// TestOutOfRangeFlagsAreUsageErrors: hostile run-shaping flags exit 2
+// with a message naming the flag instead of running a degenerate
+// experiment.
+func TestOutOfRangeFlagsAreUsageErrors(t *testing.T) {
+	for _, tc := range []struct{ flag, value string }{
+		{"-scale", "-1"},
+		{"-scale", "0"},
+		{"-scale", "NaN"},
+		{"-scale", "+Inf"},
+		{"-trace-events", "-5"},
+		{"-round-cap", "-1"},
+		{"-timeout", "0s"},
+		{"-timeout", "-1m"},
+	} {
+		code, _, errb := runCLI(t, "-exp", "fig4a", tc.flag, tc.value)
+		if code != 2 {
+			t.Errorf("%s %s: exit %d, want 2", tc.flag, tc.value, code)
+		}
+		if !strings.Contains(errb, tc.flag) {
+			t.Errorf("%s %s: stderr does not name the flag: %q", tc.flag, tc.value, errb)
+		}
+	}
+}
+
 // TestRanksExperimentCapped drives the scaling experiment end-to-end
 // with a cap below the smallest ladder rung: exactly one row at the cap
 // itself, with both a ring record and a matching record in the JSON.

@@ -62,6 +62,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "matchprof: exactly one of -exp or -in required; e.g. matchprof -exp fig4c")
 		return 2
 	}
+	if err := harness.CheckRunFlags(*scale, *timeout, *traceCap, *roundCap, *ranks); err != nil {
+		fmt.Fprintln(stderr, "matchprof:", err)
+		return 2
+	}
 
 	var doc *harness.Document
 	var slowest *harness.RunInfo

@@ -50,6 +50,33 @@ func TestBadFlagIsUsageError(t *testing.T) {
 	}
 }
 
+// TestOutOfRangeFlagsAreUsageErrors: hostile run-shaping flags exit 2
+// with a message naming the flag instead of running a degenerate
+// experiment.
+func TestOutOfRangeFlagsAreUsageErrors(t *testing.T) {
+	for _, tc := range []struct{ flag, value string }{
+		{"-scale", "-1"},
+		{"-scale", "0"},
+		{"-scale", "NaN"},
+		{"-scale", "+Inf"},
+		{"-trace-events", "-5"},
+		{"-round-cap", "-1"},
+		{"-timeout", "0s"},
+		{"-timeout", "-1m"},
+		{"-ranks", "1"},
+		{"-ranks", "-3"},
+		{"-ranks", "2097152"},
+	} {
+		code, _, errb := runCLI(t, "-exp", "fig4c", tc.flag, tc.value)
+		if code != 2 {
+			t.Errorf("%s %s: exit %d, want 2", tc.flag, tc.value, code)
+		}
+		if !strings.Contains(errb, tc.flag) {
+			t.Errorf("%s %s: stderr does not name the flag: %q", tc.flag, tc.value, errb)
+		}
+	}
+}
+
 func TestBadModelsIsUsageError(t *testing.T) {
 	if code, _, _ := runCLI(t, "-exp", "fig4c", "-models", "nope"); code != 2 {
 		t.Errorf("bad -models: exit code != 2")

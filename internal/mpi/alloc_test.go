@@ -109,3 +109,43 @@ func TestIprobeAnySourceZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestNbrRoundZeroAlloc pins the per-arc slot path of the neighborhood
+// collectives: a count exchange, a blocking alltoallv and a persistent
+// Start/WaitInto round, with chunks past inlineWords, must not allocate
+// once the arcs' buffers have circulated. Every rank runs the same
+// number of rounds, since each round is collective over the ring.
+func TestNbrRoundZeroAlloc(t *testing.T) {
+	const procs, runs = 4, 100
+	_, err := RunChecked(procs, func(c *Comm) error {
+		r, n := c.Rank(), c.Size()
+		topo := c.CreateGraphTopo([]int{(r + 1) % n, (r - 1 + n) % n})
+		pn := topo.NeighborAlltoallvInit()
+		counts, incoming := make([]int64, 2), make([]int64, 2)
+		send := [][]int64{make([]int64, 9), make([]int64, 6)}
+		recv := make([][]int64, 2)
+		round := func() {
+			counts[0], counts[1] = int64(len(send[0])), int64(len(send[1]))
+			incoming = topo.NeighborAlltoallInt64Into(counts, 1, incoming)
+			recv = topo.NeighborAlltoallvInt64Into(send, recv)
+			pn.Start(send)
+			recv = pn.WaitInto(recv)
+		}
+		for i := 0; i < 4; i++ {
+			round()
+		}
+		if r == 0 {
+			if avg := testing.AllocsPerRun(runs, round); avg != 0 {
+				t.Errorf("neighborhood round: %.2f allocs/op, want 0", avg)
+			}
+		} else {
+			for i := 0; i < runs+1; i++ {
+				round()
+			}
+		}
+		return nil
+	}, WithDeadline(30*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+}

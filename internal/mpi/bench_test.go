@@ -181,6 +181,41 @@ func BenchmarkIprobeAnySource64(b *testing.B) {
 	})
 }
 
+// BenchmarkNbrAlltoallv64 is the NCL round on a dense process graph: 64
+// ranks on a complete process graph each run 16 rounds of a one-word
+// count exchange followed by an alltoallv of 3·k words per neighbor
+// (k = 1..4 records, so most chunks exceed inlineWords). Receive
+// buffers are reused across rounds, as the NCL transport reuses them.
+func BenchmarkNbrAlltoallv64(b *testing.B) {
+	const procs, rounds = 64, 16
+	b.ReportAllocs()
+	benchRun(b, procs, func(c *Comm) error {
+		nbrs := make([]int, 0, procs-1)
+		for r := 0; r < procs; r++ {
+			if r != c.Rank() {
+				nbrs = append(nbrs, r)
+			}
+		}
+		topo := c.CreateGraphTopo(nbrs)
+		counts := make([]int64, len(nbrs))
+		incoming := make([]int64, len(nbrs))
+		send := make([][]int64, len(nbrs))
+		recv := make([][]int64, len(nbrs))
+		for i := range send {
+			send[i] = make([]int64, 12)
+		}
+		for k := 0; k < rounds; k++ {
+			for i := range send {
+				send[i] = send[i][:3*(1+(k+i)%4)]
+				counts[i] = int64(len(send[i]))
+			}
+			incoming = topo.NeighborAlltoallInt64Into(counts, 1, incoming)
+			recv = topo.NeighborAlltoallvInt64Into(send, recv)
+		}
+		return nil
+	})
+}
+
 // BenchmarkWorldSetup measures the fixed per-Run cost (world
 // construction and teardown) with an empty body. Clean worlds are
 // pooled across Run invocations, so steady-state setup reuses the

@@ -206,9 +206,11 @@ type collHub struct {
 	ideps     [2][][]int64
 	fdeps     [2][][]float64
 	vdeps     [2][][][]int64
+	tdeps     [2][]*Topo // CreateGraphTopo's rendezvous
 	idepsOnce sync.Once
 	fdepsOnce sync.Once
 	vdepsOnce sync.Once
+	tdepsOnce sync.Once
 
 	// adeps is the untyped publication slot set used by WinCreate and
 	// Split. It is deliberately single-buffered: unlike the typed slots,
@@ -264,6 +266,13 @@ func (h *collHub) ensureVdeps() {
 	})
 }
 
+func (h *collHub) ensureTdeps() {
+	h.tdepsOnce.Do(func() {
+		h.tdeps[0] = make([]*Topo, h.n)
+		h.tdeps[1] = make([]*Topo, h.n)
+	})
+}
+
 func (h *collHub) ensureAdeps() {
 	h.adepsOnce.Do(func() {
 		h.adeps = make([]any, h.n)
@@ -285,6 +294,7 @@ func (h *collHub) clearDeps() {
 		clear(h.ideps[p])
 		clear(h.fdeps[p])
 		clear(h.vdeps[p])
+		clear(h.tdeps[p])
 		h.vredOut[p] = h.vredOut[p][:0]
 	}
 	clear(h.adeps)

@@ -10,7 +10,11 @@ import (
 
 // This file implements the runtime's receive-side message store. Every
 // rank owns one mailbox; senders push under the mailbox lock and the
-// owning rank matches, probes and dequeues.
+// owning rank matches, probes and dequeues. The mailbox holds
+// point-to-point traffic only. Neighborhood-collective chunks travel on
+// per-arc slots owned by the receiving rank's Topo (see arcq in
+// topo.go); they are published under the same lock, so parking, poison
+// teardown and the queued-bytes high-water mark cover both kinds.
 //
 // The store is organized the way real MPI implementations index their
 // posted-receive and unexpected-message queues (cf. MPICH's queue-search
@@ -18,13 +22,11 @@ import (
 // small FIFO indexes so the common lookups are O(1) instead of a linear
 // scan over everything queued:
 //
-//   - per (source, communicator) FIFO of user-level messages, in virtual
-//     arrival order — resolves (src, AnyTag) and feeds AnySource scans;
-//   - per (source, communicator, tag) FIFO — resolves exact (src, tag);
-//   - per (source, itag) FIFO for runtime-internal traffic (neighborhood
-//     collective chunks, RMA control), which is matched exactly.
+//   - per (source, communicator) FIFO, in send order — resolves
+//     (src, AnyTag) and feeds the AnySource front heaps;
+//   - per (source, communicator, tag) FIFO — resolves exact (src, tag).
 //
-// A user-level message is indexed by both the arrival FIFO and its tag
+// A message is indexed by both the arrival FIFO and its tag
 // FIFO. Dequeuing through one index bumps the message's generation; the
 // other index skips dead entries lazily when it next reaches them, so
 // removal is O(1) amortized with no shift-deletes. Because message
@@ -55,11 +57,7 @@ import (
 // footprint. Keys are never removed (rings are retained and reused), so
 // a bucket whose tag-key cardinality ever exceeds bucketScanLimit
 // installs a position map once and keeps O(1) lookups; below the limit
-// the map never exists. Internal (itag) keys ARE retired — itags embed
-// per-topology sequence numbers, so every collective round arrives
-// under a fresh key — by marking the slot free (itag 0) and reusing it
-// in place, which keeps the steady state allocation-free without the
-// old shared free-list of queue pointers.
+// the map never exists.
 //
 // Buckets are stored as a dense pointer table (indexed by source, slots
 // nil until first traffic) for worlds of up to denseSrcLimit ranks and
@@ -110,14 +108,11 @@ const qRetainEnts = 64
 // buffer in the process-wide pool for the rest of its life.
 const spillRetainWords = 1024
 
-// message is an in-flight payload. itag != 0 marks runtime-internal
-// traffic (neighborhood collectives, RMA control) which is invisible to
-// user-level Recv/Probe.
+// message is an in-flight point-to-point payload.
 type message struct {
 	src  int // sender's rank within the sending communicator
 	tag  int
-	itag int64
-	mctx int32 // communicator id (user-level traffic only)
+	mctx int32 // communicator id
 	// gen is bumped on take and on release. Index entries snapshot it at
 	// push time; a mismatch means the entry is dead (taken through the
 	// other index, or recycled entirely). Atomic because a stale entry
@@ -143,9 +138,9 @@ var msgPool = sync.Pool{New: func() any { return new(message) }}
 
 // newMessage obtains a pooled message and copies data into it. The caller
 // may reuse data immediately (MPI eager-buffering semantics).
-func newMessage(src, tag int, itag int64, mctx int32, data []int64) *message {
+func newMessage(src, tag int, mctx int32, data []int64) *message {
 	m := msgPool.Get().(*message)
-	m.src, m.tag, m.itag, m.mctx = src, tag, itag, mctx
+	m.src, m.tag, m.mctx = src, tag, mctx
 	n := len(data)
 	if n <= inlineWords {
 		m.data = m.inline[:n:inlineWords]
@@ -263,13 +258,6 @@ type tagq struct {
 	q    msgq
 }
 
-// intq is one internal (itag) FIFO; itag 0 marks a retired slot whose
-// ring is ready for reuse under the next fresh key.
-type intq struct {
-	itag int64
-	q    msgq
-}
-
 // srcBucket holds everything queued from one source rank. For a fixed
 // communicator a source rank maps to exactly one sending goroutine, so
 // each FIFO below has a single producer with a monotone clock. Index
@@ -278,7 +266,6 @@ type intq struct {
 type srcBucket struct {
 	user   []userq // per-communicator arrival FIFOs
 	tags   []tagq  // per (communicator, tag) FIFOs; keys never removed
-	intl   []intq  // per live-itag FIFOs; slots retire in place
 	tagIdx map[tagKey]int
 	src    int32 // source rank this bucket indexes
 }
@@ -346,26 +333,6 @@ func (b *srcBucket) tagPeek(mctx int32, tag int) *msgq {
 		}
 	}
 	return nil
-}
-
-// intlqFor returns the FIFO for itag, reusing a retired slot (ring
-// included) before growing the index.
-func (b *srcBucket) intlqFor(itag int64) *msgq {
-	free := -1
-	for i := range b.intl {
-		if b.intl[i].itag == itag {
-			return &b.intl[i].q
-		}
-		if b.intl[i].itag == 0 && free < 0 {
-			free = i
-		}
-	}
-	if free >= 0 {
-		b.intl[free].itag = itag
-		return &b.intl[free].q
-	}
-	b.intl = append(b.intl, intq{itag: itag})
-	return &b.intl[len(b.intl)-1].q
 }
 
 // frontEnt is one front-heap entry: the arrival FIFO b.user[ui], keyed
@@ -475,6 +442,8 @@ type mailbox struct {
 	fronts   []frontHeap          // one front heap per communicator; never removed
 	cand     []frontEnt           // scratch for perturbed wildcard selection
 	bfree    []*srcBucket         // preallocated buckets (chunk remainder)
+	arcs     [][]arcq             // inbound-arc sets, one per topology created; retained when pooled
+	arcN     int                  // arc sets handed out this run
 	nUser    int                  // live user-level messages across all buckets
 	parked   bool                 // the owner's task is parked on this mailbox
 	queued   int64                // bytes currently queued (eager-buffer occupancy)
@@ -586,21 +555,36 @@ func (mb *mailbox) push(m *message) {
 		return
 	}
 	b := mb.bucket(int32(m.src))
-	if m.itag != 0 {
-		b.intlqFor(m.itag).push(m)
-	} else {
-		ui := b.userqFor(m.mctx)
-		u := &b.user[ui]
-		u.q.push(m)
-		b.tagqFor(m.mctx, m.tag).push(m)
-		mb.nUser++
-		if u.hpos < 0 {
-			// First live message: it is the FIFO's new front.
-			u.heap = mb.frontsFor(m.mctx)
-			mb.fronts[u.heap].push(frontEnt{arrive: m.arrive, src: b.src, ui: int32(ui), m: m, b: b})
-		}
+	ui := b.userqFor(m.mctx)
+	u := &b.user[ui]
+	u.q.push(m)
+	b.tagqFor(m.mctx, m.tag).push(m)
+	mb.nUser++
+	if u.hpos < 0 {
+		// First live message: it is the FIFO's new front.
+		u.heap = mb.frontsFor(m.mctx)
+		mb.fronts[u.heap].push(frontEnt{arrive: m.arrive, src: b.src, ui: int32(ui), m: m, b: b})
 	}
-	mb.queued += m.bytes
+	mb.admitLocked(m.bytes)
+}
+
+// pushArc publishes one neighborhood-collective chunk on q, an inbound
+// arc of this mailbox's rank, and unparks the owner if it is parked.
+// Like push it is a no-op on a poisoned mailbox.
+func (mb *mailbox) pushArc(q *arcq, seq int64, arrive, sent float64, data []int64) {
+	mb.mu.Lock()
+	if mb.poisoned {
+		mb.mu.Unlock()
+		return
+	}
+	q.push(seq, arrive, sent, data)
+	mb.admitLocked(int64(8 * len(data)))
+}
+
+// admitLocked books bytes of newly queued traffic against the eager
+// buffer, releases mb.mu and unparks the owner if it was parked.
+func (mb *mailbox) admitLocked(bytes int64) {
+	mb.queued += bytes
 	if mb.queued > mb.hw {
 		mb.hw = mb.queued
 	}
@@ -611,6 +595,21 @@ func (mb *mailbox) push(m *message) {
 	if wake {
 		owner.unpark()
 	}
+}
+
+// arcSet hands out the inbound-arc storage for this rank's next
+// topology: n slots, reused from the previous run at the same position
+// in creation order when large enough. Only the owning rank calls it.
+func (mb *mailbox) arcSet(n int) []arcq {
+	if mb.arcN == len(mb.arcs) {
+		mb.arcs = append(mb.arcs, nil)
+	}
+	if cap(mb.arcs[mb.arcN]) < n {
+		mb.arcs[mb.arcN] = make([]arcq, n)
+	}
+	s := mb.arcs[mb.arcN][:n]
+	mb.arcN++
+	return s
 }
 
 // parkLocked parks the owning task on the mailbox until the next push.
@@ -808,41 +807,6 @@ func (mb *mailbox) pickAnySourceLocked(fh *frontHeap, tag int, now float64) fron
 	return pick
 }
 
-// matchInternalLocked finds (and, if remove is set, dequeues) the oldest
-// internal message from src with the exact itag. The caller holds mb.mu.
-func (mb *mailbox) matchInternalLocked(src int, itag int64, remove bool) *message {
-	b := mb.peek(int32(src))
-	if b == nil {
-		return nil
-	}
-	var e *intq
-	for i := range b.intl {
-		if b.intl[i].itag == itag {
-			e = &b.intl[i]
-			break
-		}
-	}
-	if e == nil {
-		return nil
-	}
-	m := e.q.front()
-	if m == nil {
-		return nil
-	}
-	if remove {
-		e.q.popFront()
-		mb.queued -= m.bytes
-		// Internal messages are single-indexed, so n == 0 means truly
-		// empty: retire the slot in place for reuse under the next fresh
-		// itag, shedding any backlog-spike ring on the way.
-		if e.q.n == 0 {
-			e.itag = 0
-			e.q.trim()
-		}
-	}
-	return m
-}
-
 // drainQueue releases every live message still in q and zeroes the
 // ring. front() discards dead entries (zeroing their slots) as it
 // walks, so after it returns nil the ring holds no message pointers.
@@ -857,9 +821,10 @@ func drainQueue(q *msgq) {
 // Live messages (protocols like the Send-Recv matcher legally finish
 // with stale traffic queued) go back to the message pool; the bucket
 // index entries and their rings are retained (trimmed of spike-sized
-// capacity), since communicator ids and internal tags restart
-// identically in a fresh world, so a pooled mailbox's steady state
-// carries over. Only mailboxes from clean runs are reset — failed or
+// capacity), since communicator ids restart identically in a fresh
+// world, so a pooled mailbox's steady state carries over. So are the
+// inbound-arc sets with their chunk buffers: topologies are created in
+// the same order in the next run. Only mailboxes from clean runs are reset — failed or
 // poisoned runs discard the whole world state.
 func (mb *mailbox) reset() {
 	for _, b := range mb.used {
@@ -872,12 +837,13 @@ func (mb *mailbox) reset() {
 			drainQueue(&b.tags[i].q) // secondary index: all entries now dead
 			b.tags[i].q.trim()
 		}
-		for i := range b.intl {
-			drainQueue(&b.intl[i].q)
-			b.intl[i].itag = 0
-			b.intl[i].q.trim()
+	}
+	for _, set := range mb.arcs[:mb.arcN] {
+		for i := range set {
+			set[i].reset()
 		}
 	}
+	mb.arcN = 0
 	for i := range mb.fronts {
 		clear(mb.fronts[i].h)
 		mb.fronts[i].h = mb.fronts[i].h[:0]

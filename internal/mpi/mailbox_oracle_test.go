@@ -192,7 +192,7 @@ func mailboxDiffOps(t *testing.T, data []byte) {
 				arrive += float64(next() % 8) // latency: reorders one source's stamps
 			}
 			buf[0] = id
-			m := newMessage(src, tag, 0, mctx, buf[:words])
+			m := newMessage(src, tag, mctx, buf[:words])
 			m.arrive = arrive
 			mb.push(m)
 			ref.push(refMsg{id: id, src: src, tag: tag, mctx: mctx, arrive: arrive, bytes: int64(8 * words)})

@@ -19,7 +19,7 @@ import (
 // arrival time and pushes it, bypassing a Comm (payload = seq for
 // identification).
 func pushAt(mb *mailbox, src, tag int, arrive float64, seq int64) {
-	m := newMessage(src, tag, 0, 0, []int64{seq})
+	m := newMessage(src, tag, 0, []int64{seq})
 	m.arrive = arrive
 	mb.push(m)
 }
@@ -260,7 +260,7 @@ func TestMailboxStaleTagEntrySurvivesReuse(t *testing.T) {
 	// hands the same struct back, and enqueue it on a different mailbox
 	// with the same source and tag.
 	m.release()
-	m2 := newMessage(0, 1, 0, 0, []int64{300})
+	m2 := newMessage(0, 1, 0, []int64{300})
 	m2.arrive = 5
 	b.push(m2)
 
@@ -446,43 +446,5 @@ func TestMailboxRingTrimOnReset(t *testing.T) {
 	}
 	if got := mb.pendingUser(); got != 0 {
 		t.Errorf("pending after reset = %d, want 0", got)
-	}
-}
-
-// TestMailboxInternalSlotRetire pins the in-place retirement of internal
-// (itag) queue slots: draining an itag frees its slot (itag 0) and the
-// next fresh itag reuses slot and ring instead of growing the index.
-func TestMailboxInternalSlotRetire(t *testing.T) {
-	mb := newMailbox(4)
-	push := func(itag int64, seq int64) {
-		m := newMessage(1, 0, itag, 0, []int64{seq})
-		m.arrive = float64(seq)
-		mb.push(m)
-	}
-	take := func(itag int64, wantSeq int64) {
-		mb.mu.Lock()
-		m := mb.matchInternalLocked(1, itag, true)
-		mb.mu.Unlock()
-		if m == nil || m.data[0] != wantSeq {
-			t.Fatalf("itag %d: got %+v, want seq %d", itag, m, wantSeq)
-		}
-		m.release()
-	}
-	for round := int64(1); round <= 5; round++ {
-		itag := round * 1000 // fresh key every round, like topology sequence numbers
-		push(itag, round)
-		push(itag, round+100)
-		take(itag, round)
-		take(itag, round+100)
-	}
-	b := mb.peek(1)
-	if len(b.intl) != 1 {
-		t.Fatalf("internal index grew to %d slots across rounds, want 1 (retire-in-place)", len(b.intl))
-	}
-	if b.intl[0].itag != 0 {
-		t.Errorf("drained slot still keyed %d, want 0 (free)", b.intl[0].itag)
-	}
-	if cap(b.intl[0].q.buf) == 0 {
-		t.Errorf("retired slot dropped its ring; want it retained for reuse")
 	}
 }

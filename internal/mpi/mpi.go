@@ -124,9 +124,6 @@ type World struct {
 	hubMu sync.Mutex
 	hubs  []*collHub
 
-	topoMu  sync.Mutex
-	topoSeq int
-
 	winMu  sync.Mutex
 	winSeq int
 

@@ -27,19 +27,12 @@ func (t *Topo) INeighborAlltoallvInt64(send [][]int64) *NbrRequest {
 		panic(fmt.Sprintf("mpi: INeighborAlltoallvInt64: len(send)=%d, want degree %d", len(send), len(t.neighbors)))
 	}
 	c := t.c
-	cost := c.w.cost
 	seq := t.seq
 	t.seq++
 	start := c.ps.now
 	c.ps.rs.NbrCollCount++
-	c.chargeComm(cost.AlphaNbrCall)
-	var sent int64
-	for i, nb := range t.neighbors {
-		bytes := int64(8 * len(send[i]))
-		sent += bytes
-		c.chargeComm(cost.AlphaNbr + cost.BetaNbr*float64(bytes))
-		c.internalSend(nb, t.itag(seq), send[i], cost.AlphaNbr, cost.BetaNbr, (*RankStats).noteNbrChunk)
-	}
+	c.chargeComm(c.w.cost.AlphaNbrCall)
+	sent := t.sendAll(seq, send)
 	c.event(EvNbrStart, -1, int(seq), sent, start)
 	return &NbrRequest{t: t, seq: seq}
 }
@@ -53,10 +46,11 @@ func (r *NbrRequest) Wait() [][]int64 {
 }
 
 // WaitInto is Wait receiving into a caller-supplied slice of per-neighbor
-// buffers (allocated when nil). Each recv[i] is reset to length zero and
-// appended to, reusing its capacity; the possibly-regrown recv is
-// returned. The pipelined transport keeps one receive set across rounds
-// so steady-state completion allocates nothing.
+// buffers (allocated when nil), with the buffer hand-over of
+// NeighborAlltoallvInt64Into: each recv[i] is replaced by neighbor i's
+// chunk and its old storage passes to the runtime. The pipelined
+// transport keeps one receive set across rounds so steady-state
+// completion allocates nothing.
 func (r *NbrRequest) WaitInto(recv [][]int64) [][]int64 {
 	if r.finished {
 		panic("mpi: NbrRequest.Wait called twice")
@@ -69,11 +63,7 @@ func (r *NbrRequest) WaitInto(recv [][]int64) [][]int64 {
 		panic(fmt.Sprintf("mpi: NbrRequest.WaitInto: len(recv)=%d, want degree %d", len(recv), len(r.t.neighbors)))
 	}
 	start := c.ps.now
-	var got int64
-	for i, nb := range r.t.neighbors {
-		recv[i] = c.internalRecvAppend(nb, r.t.itag(r.seq), recv[i])
-		got += int64(8 * len(recv[i]))
-	}
+	got := r.t.recvAll(r.seq, recv)
 	c.event(EvNbrWait, -1, int(r.seq), got, start)
 	return recv
 }
@@ -98,8 +88,8 @@ func (r *NbrRequest) Test() ([][]int64, bool) {
 	}
 	mb := c.mbox()
 	mb.mu.Lock()
-	for _, nb := range r.t.neighbors {
-		if mb.matchInternalLocked(nb, r.t.itag(r.seq), false) == nil {
+	for i := range r.t.in {
+		if r.t.in[i].find(r.seq) < 0 {
 			mb.mu.Unlock()
 			c.event(EvProbe, -1, int(r.seq), 0, start)
 			c.pollMiss()

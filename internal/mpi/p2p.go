@@ -76,7 +76,7 @@ func (c *Comm) send(dst, tag int, data []int64, sync bool) {
 		panic(fmt.Sprintf("mpi: send with negative tag %d (tags < 0 are reserved)", tag))
 	}
 	start := c.ps.now
-	m := newMessage(c.rank, tag, 0, c.ctx, data)
+	m := newMessage(c.rank, tag, c.ctx, data)
 	cost := c.w.cost
 	c.chargeComm(cost.SendOverhead)
 	if sync {
@@ -253,51 +253,6 @@ func (c *Comm) completeRecv(m *message) {
 	rs.RecvBytes += m.bytes
 }
 
-// internalSend delivers runtime-internal traffic (neighborhood collective
-// chunks, RMA control messages) outside the user tag space. alpha/beta
-// select the cost category; note attributes the traffic in the ledger.
-func (c *Comm) internalSend(dst int, itag int64, data []int64, alpha, beta float64, note func(rs *RankStats, dst int, bytes int64)) {
-	m := newMessage(c.rank, 0, itag, 0, data)
-	m.sent = c.ps.now
-	m.arrive = c.ps.now + c.perturbLatency(alpha+beta*float64(m.bytes))
-	if note != nil {
-		note(c.ps.rs, c.worldRank(dst), m.bytes)
-	}
-	c.w.mailboxes[c.worldRank(dst)].push(m)
-}
-
-// internalRecvMsg blocks for an internal message from src with the exact
-// itag, advances the clock to its arrival and returns it. The caller owns
-// the message and must release it after copying the payload out.
-func (c *Comm) internalRecvMsg(src int, itag int64) *message {
-	mb := c.mbox()
-	mb.mu.Lock()
-	var m *message
-	for {
-		if m = mb.matchInternalLocked(src, itag, true); m != nil {
-			break
-		}
-		if mb.poisoned {
-			mb.mu.Unlock()
-			panic("mpi: internal recv aborted: a peer rank failed")
-		}
-		mb.parkLocked(c.ps.task)
-	}
-	mb.mu.Unlock()
-	c.waitFor(m.arrive, WaitNbrExchange, c.worldRank(m.src), m.sent)
-	return m
-}
-
-// internalRecvAppend receives an internal message from src with the exact
-// itag and appends its payload to buf[:0], reusing buf's capacity. The
-// returned slice is caller-owned.
-func (c *Comm) internalRecvAppend(src int, itag int64, buf []int64) []int64 {
-	m := c.internalRecvMsg(src, itag)
-	buf = append(buf[:0], m.data...)
-	m.release()
-	return buf
-}
-
 // PendingMessages returns how many user-level messages are queued for this
 // rank (diagnostic; used by tests to verify clean shutdown).
 func (c *Comm) PendingMessages() int {
@@ -305,9 +260,9 @@ func (c *Comm) PendingMessages() int {
 }
 
 // QueuedBytes returns the bytes currently occupying this rank's eager
-// buffer (user and internal messages alike). RankStats.QueueHighWater is
-// the post-run maximum; this is the live value, which the round-telemetry
-// layer samples at round boundaries.
+// buffer (user messages and neighborhood-collective chunks alike).
+// RankStats.QueueHighWater is the post-run maximum; this is the live
+// value, which the round-telemetry layer samples at round boundaries.
 func (c *Comm) QueuedBytes() int64 {
 	return c.mbox().queuedBytes()
 }

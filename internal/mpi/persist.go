@@ -4,7 +4,7 @@ import "fmt"
 
 // PersistentNbr is a persistent neighborhood all-to-all-v schedule, the
 // analogue of MPI-4's MPI_Neighbor_alltoallv_init: the exchange plan —
-// peer set, tag layout, per-neighbor cost structure — is derived once
+// peer set, per-arc slots, per-neighbor cost structure — is derived once
 // from the topology when the operation is initialized, and every
 // subsequent Start/WaitInto round reuses it. Rounds in this repository's
 // drivers are isomorphic by construction (the same neighbors exchange
@@ -50,20 +50,13 @@ func (p *PersistentNbr) Start(send [][]int64) {
 		panic(fmt.Sprintf("mpi: PersistentNbr.Start: len(send)=%d, want degree %d", len(send), len(t.neighbors)))
 	}
 	c := t.c
-	cost := c.w.cost
 	p.seq = t.seq
 	t.seq++
 	p.inflight = true
 	start := c.ps.now
 	c.ps.rs.NbrCollCount++
-	c.chargeComm(cost.AlphaNbrStart)
-	var sent int64
-	for i, nb := range t.neighbors {
-		bytes := int64(8 * len(send[i]))
-		sent += bytes
-		c.chargeComm(cost.AlphaNbr + cost.BetaNbr*float64(bytes))
-		c.internalSend(nb, t.itag(p.seq), send[i], cost.AlphaNbr, cost.BetaNbr, (*RankStats).noteNbrChunk)
-	}
+	c.chargeComm(c.w.cost.AlphaNbrStart)
+	sent := t.sendAll(p.seq, send)
 	c.event(EvNbrStart, -1, int(p.seq), sent, start)
 }
 
@@ -75,10 +68,10 @@ func (p *PersistentNbr) Wait() [][]int64 {
 
 // WaitInto completes the in-flight round, receiving into a
 // caller-supplied slice of per-neighbor buffers (allocated when nil).
-// Each recv[i] is reset to length zero and appended to, reusing its
-// capacity; the possibly-regrown recv is returned. Unlike a nonblocking
-// request, the operation stays valid: the next Start reuses the same
-// schedule.
+// Each recv[i] is replaced by neighbor i's chunk and its old storage
+// passes to the runtime, as in NeighborAlltoallvInt64Into. Unlike a
+// nonblocking request, the operation stays valid: the next Start reuses
+// the same schedule.
 func (p *PersistentNbr) WaitInto(recv [][]int64) [][]int64 {
 	if !p.inflight {
 		panic("mpi: PersistentNbr.Wait without a started round")
@@ -92,11 +85,7 @@ func (p *PersistentNbr) WaitInto(recv [][]int64) [][]int64 {
 		panic(fmt.Sprintf("mpi: PersistentNbr.WaitInto: len(recv)=%d, want degree %d", len(recv), len(t.neighbors)))
 	}
 	start := c.ps.now
-	var got int64
-	for i, nb := range t.neighbors {
-		recv[i] = c.internalRecvAppend(nb, t.itag(p.seq), recv[i])
-		got += int64(8 * len(recv[i]))
-	}
+	got := t.recvAll(p.seq, recv)
 	c.event(EvNbrWait, -1, int(p.seq), got, start)
 	return recv
 }

@@ -13,13 +13,97 @@ import (
 // a neighbor of i, then i must be a neighbor of j (CreateGraphTopo
 // verifies this and panics otherwise, since an asymmetric topology would
 // deadlock neighborhood collectives).
+//
+// Neighborhood traffic never enters the point-to-point mailbox. Every
+// directed arc of the topology has its own inbound slot at the receiver
+// (arcq), found by the sender's position in the receiver's neighbor
+// list, which CreateGraphTopo resolves once into a direct pointer.
 type Topo struct {
 	c         *Comm
-	id        int64
 	neighbors []int
 	index     map[int]int // neighbor rank -> position in neighbors
-	seq       int64       // per-call sequence, advances identically on all members
+	// in[i] queues the chunks neighbors[i] has sent this rank and it has
+	// not yet received. Guarded by this rank's mailbox lock.
+	in []arcq
+	// out[i] is neighbors[i]'s inbound arc from this rank, nil when
+	// neighbors[i] does not list this rank (an asymmetric topology).
+	out   []*arcq
+	spare []int64 // buffer the fixed-chunk receive and the handshake trade with each arc
+	seq   int64   // per-call sequence, advances identically on all members
 }
+
+// arcEnt is one chunk in flight on an arc: the topology call it belongs
+// to, its virtual arrival and injection stamps, and its payload.
+type arcEnt struct {
+	seq    int64
+	arrive float64
+	sent   float64
+	data   []int64
+}
+
+// arcq is one inbound arc: the chunks a single neighbor has sent and the
+// receiver has not yet taken, in send order. A receive takes the oldest
+// chunk of its call — normally the front; a blocking call may overtake
+// a nonblocking or persistent round still in flight. Entries beyond
+// len(ents) are spares whose buffers later chunks are copied into: a
+// receive hands the caller the chunk's buffer and keeps the caller's
+// old buffer as a spare in its place, so capacity circulates between
+// the arc and the caller and steady-state rounds allocate nothing.
+// Guarded by the receiving rank's mailbox lock.
+type arcq struct {
+	ents []arcEnt
+}
+
+func (q *arcq) push(seq int64, arrive, sent float64, data []int64) {
+	n := len(q.ents)
+	if n == cap(q.ents) {
+		q.ents = append(q.ents, arcEnt{})
+	} else {
+		q.ents = q.ents[:n+1]
+	}
+	e := &q.ents[n]
+	e.seq, e.arrive, e.sent = seq, arrive, sent
+	e.data = append(e.data[:0], data...)
+}
+
+// find returns the position of the oldest chunk of call seq, or -1.
+func (q *arcq) find(seq int64) int {
+	for k := range q.ents {
+		if q.ents[k].seq == seq {
+			return k
+		}
+	}
+	return -1
+}
+
+// take removes and returns chunk k, keeping spare's storage on the arc.
+func (q *arcq) take(k int, spare []int64) arcEnt {
+	e := q.ents[k]
+	last := len(q.ents) - 1
+	copy(q.ents[k:], q.ents[k+1:])
+	q.ents[last] = arcEnt{data: spare[:0]}
+	q.ents = q.ents[:last]
+	return e
+}
+
+// reset drops chunks still in flight (a request that was started but
+// never completed) and keeps every buffer as a spare, shedding
+// oversized ones as pooled messages do.
+func (q *arcq) reset() {
+	ents := q.ents[:cap(q.ents)]
+	for i := range ents {
+		d := ents[i].data
+		if cap(d) > spillRetainWords {
+			d = nil
+		}
+		ents[i] = arcEnt{data: d[:0]}
+	}
+	q.ents = ents[:0]
+}
+
+// handshakeSeq marks the symmetry handshake's chunks, which precede
+// every call (sequence 0 onward) on each arc.
+const handshakeSeq = -1
 
 // CreateGraphTopo collectively creates a distributed graph topology from
 // each rank's adjacency list. The call is collective over the world (as
@@ -38,65 +122,66 @@ func (c *Comm) CreateGraphTopo(neighbors []int) *Topo {
 		}
 		idx[nb] = i
 	}
-
-	// Allocate a world-unique topology id (collective, so all members
-	// agree), then verify symmetry from the gathered adjacency lists.
-	var id int64
-	if c.rank == 0 {
-		c.w.topoMu.Lock()
-		c.w.topoSeq++
-		id = int64(c.w.topoSeq)
-		c.w.topoMu.Unlock()
+	t := &Topo{
+		c:         c,
+		neighbors: append([]int(nil), neighbors...),
+		index:     idx,
+		in:        c.mbox().arcSet(len(neighbors)),
+		out:       make([]*arcq, len(neighbors)),
 	}
-	id = c.BcastInt64(0, []int64{id})[0]
+
+	// Rendezvous, charged as the 8-byte broadcast of a topology handle:
+	// every member publishes its Topo, and each rank resolves its
+	// outbound arcs to the inbound slots its neighbors hold for it.
+	// Topos are complete before they are published and never change
+	// shape afterwards, so reading a peer's index after the barrier is
+	// race-free.
+	h, p, tmax, last := c.enterColl(func(h *collHub, p int) {
+		h.ensureTdeps()
+		h.tdeps[p][c.rank] = t
+	})
+	for i, nb := range neighbors {
+		peer := h.tdeps[p][nb]
+		if j, ok := peer.index[c.rank]; ok {
+			t.out[i] = &peer.in[j]
+		}
+	}
+	c.exitColl(tmax, last, 8)
 
 	if c.size() <= topoVerifyDenseLimit {
-		// Small worlds: gather every adjacency list and cross-check
-		// directly, yielding a precise panic naming the asymmetric pair.
-		mine := make([]int64, len(neighbors))
+		// Small worlds: the rendezvous already gave every rank its
+		// neighbors' index maps, so a listing that is not reciprocated
+		// shows as a missing outbound arc and yields a precise panic
+		// naming the pair. The check is charged as the adjacency
+		// allgather it stands for.
+		_, _, tmax, last := c.enterColl(nil)
+		c.exitColl(tmax, last, int64(8*len(neighbors)))
 		for i, nb := range neighbors {
-			mine[i] = int64(nb)
-		}
-		all := c.AllgatherInt64(mine)
-		for _, nb := range neighbors {
-			found := false
-			for _, v := range all[nb] {
-				if int(v) == c.rank {
-					found = true
-					break
-				}
-			}
-			if !found {
+			if t.out[i] == nil {
 				panic(fmt.Sprintf("mpi: CreateGraphTopo: asymmetric topology: rank %d lists %d but not vice versa", c.rank, nb))
 			}
 		}
 	} else {
-		// Large worlds: the allgather materializes every adjacency list on
-		// every rank — O(P * E_p) memory, which at 16K+ ranks dwarfs the
-		// topology itself. Verify symmetry pairwise instead: each rank
-		// sends a zero-cost handshake to every listed neighbor on a
-		// reserved internal tag (below this topology's itag sequence) and
-		// then receives one from each. Total traffic is O(E_p). An
-		// asymmetric listing means some handshake never arrives; that
-		// surfaces as a deadline-watchdog deadlock naming the blocked
-		// ranks rather than a pinpointed panic — the price of scalability.
-		hs := 1 + id<<32 + topoHandshakeSeq
-		var one [1]int64
-		one[0] = int64(c.rank)
-		for _, nb := range neighbors {
-			c.internalSend(nb, hs, one[:], 0, 0, nil)
+		// Large worlds: the modeled allgather would materialize every
+		// adjacency list on every rank — O(P * E_p) memory, which at 16K+
+		// ranks dwarfs the topology itself. Verify symmetry pairwise
+		// instead: each rank posts a zero-cost handshake on every arc to
+		// a neighbor that lists it and then takes one from every inbound
+		// arc. Total traffic is O(E_p). An asymmetric listing means some
+		// handshake never arrives; that surfaces as a deadline-watchdog
+		// deadlock naming the blocked ranks rather than a pinpointed
+		// panic — the price of scalability.
+		one := [1]int64{int64(c.rank)}
+		for i := range t.neighbors {
+			if t.out[i] != nil {
+				t.post(i, handshakeSeq, one[:], 0, 0)
+			}
 		}
-		for _, nb := range neighbors {
-			c.internalRecvMsg(nb, hs).release()
+		for i := range t.neighbors {
+			t.spare = t.recvArc(i, handshakeSeq, t.spare)
 		}
 	}
-
-	return &Topo{
-		c:         c,
-		id:        id,
-		neighbors: append([]int(nil), neighbors...),
-		index:     idx,
-	}
+	return t
 }
 
 // Neighbors returns the topology's neighbor list for this rank (a copy).
@@ -113,20 +198,82 @@ func (t *Topo) NeighborIndex(nb int) int {
 	return -1
 }
 
-// itag derives the internal message tag for call number seq on this topo.
-func (t *Topo) itag(seq int64) int64 { return 1 + t.id<<32 + seq }
-
-// topoHandshakeSeq is the reserved pseudo-sequence for the symmetry
-// handshake: itag(-1) sits below every real call's tag for this topology
-// id and above the previous id's space, so handshakes can never match
-// collective traffic.
-const topoHandshakeSeq = -1
-
 // topoVerifyDenseLimit is the world size up to which CreateGraphTopo
-// verifies symmetry via a full adjacency allgather (precise diagnostics,
-// O(P*E_p) memory). Larger worlds use the pairwise handshake. A variable
-// so tests can exercise the handshake path at small sizes.
+// models symmetry verification as a full adjacency allgather (precise
+// diagnostics, O(P*E_p) memory on a real machine). Larger worlds use the
+// pairwise handshake. A variable so tests can exercise the handshake
+// path at small sizes.
 var topoVerifyDenseLimit = 2048
+
+// post stamps one chunk of call seq for neighbor i — injected at the
+// current clock, arriving after latency alpha+beta·bytes as perturbed
+// by this rank's stream — and publishes it on the neighbor's inbound
+// arc from this rank.
+func (t *Topo) post(i int, seq int64, data []int64, alpha, beta float64) {
+	c := t.c
+	sent := c.ps.now
+	arrive := sent + c.perturbLatency(alpha+beta*float64(8*len(data)))
+	c.w.mailboxes[c.worldRank(t.neighbors[i])].pushArc(t.out[i], seq, arrive, sent, data)
+}
+
+// sendChunk charges and posts neighbor i's chunk of call seq, booking it
+// in the traffic ledger, and returns its size in bytes.
+func (t *Topo) sendChunk(i int, seq int64, part []int64) int64 {
+	c := t.c
+	cost := c.w.cost
+	bytes := int64(8 * len(part))
+	c.chargeComm(cost.AlphaNbr + cost.BetaNbr*float64(bytes))
+	c.ps.rs.noteNbrChunk(c.worldRank(t.neighbors[i]), bytes)
+	t.post(i, seq, part, cost.AlphaNbr, cost.BetaNbr)
+	return bytes
+}
+
+// sendAll posts call seq's chunks, send[i] to neighbor i, in neighbor
+// order and returns the bytes moved.
+func (t *Topo) sendAll(seq int64, send [][]int64) int64 {
+	var moved int64
+	for i := range t.neighbors {
+		moved += t.sendChunk(i, seq, send[i])
+	}
+	return moved
+}
+
+// recvArc blocks until inbound arc i holds the chunk of call seq, takes
+// it and advances the clock to its arrival, booking any stall as a
+// neighborhood-exchange wait on the sending neighbor. It returns the
+// chunk's buffer; spare's storage stays on the arc for later chunks.
+func (t *Topo) recvArc(i int, seq int64, spare []int64) []int64 {
+	c := t.c
+	mb := c.mbox()
+	q := &t.in[i]
+	mb.mu.Lock()
+	k := q.find(seq)
+	for k < 0 {
+		if mb.poisoned {
+			mb.mu.Unlock()
+			panic("mpi: neighborhood exchange aborted: a peer rank failed")
+		}
+		mb.parkLocked(c.ps.task)
+		k = q.find(seq)
+	}
+	e := q.take(k, spare)
+	mb.queued -= int64(8 * len(e.data))
+	mb.mu.Unlock()
+	c.waitFor(e.arrive, WaitNbrExchange, c.worldRank(t.neighbors[i]), e.sent)
+	return e.data
+}
+
+// recvAll receives call seq's chunks in neighbor order, recv[i] from
+// neighbor i, and returns the bytes received. The storage each recv[i]
+// held passes to its arc.
+func (t *Topo) recvAll(seq int64, recv [][]int64) int64 {
+	var got int64
+	for i := range t.neighbors {
+		recv[i] = t.recvArc(i, seq, recv[i])
+		got += int64(8 * len(recv[i]))
+	}
+	return got
+}
 
 // NeighborAlltoallInt64 is MPI_Neighbor_alltoall: each rank sends a
 // fixed-size chunk to every neighbor and receives one from each. send
@@ -152,27 +299,22 @@ func (t *Topo) NeighborAlltoallInt64Into(send []int64, chunk int, recv []int64) 
 		panic(fmt.Sprintf("mpi: NeighborAlltoallInt64Into: len(recv)=%d, want %d*%d", len(recv), len(t.neighbors), chunk))
 	}
 	c := t.c
-	cost := c.w.cost
 	seq := t.seq
 	t.seq++
 	start := c.ps.now
 	c.ps.rs.NbrCollCount++
-	c.chargeComm(cost.AlphaNbrCall)
+	c.chargeComm(c.w.cost.AlphaNbrCall)
 	var moved int64
-	for i, nb := range t.neighbors {
-		part := send[i*chunk : (i+1)*chunk]
-		bytes := int64(8 * len(part))
-		moved += bytes
-		c.chargeComm(cost.AlphaNbr + cost.BetaNbr*float64(bytes))
-		c.internalSend(nb, t.itag(seq), part, cost.AlphaNbr, cost.BetaNbr, (*RankStats).noteNbrChunk)
+	for i := range t.neighbors {
+		moved += t.sendChunk(i, seq, send[i*chunk:(i+1)*chunk])
 	}
 	for i, nb := range t.neighbors {
-		m := c.internalRecvMsg(nb, t.itag(seq))
-		if len(m.data) != chunk {
-			panic(fmt.Sprintf("mpi: NeighborAlltoallInt64: rank %d received %d words from %d, want chunk %d", c.rank, len(m.data), nb, chunk))
+		b := t.recvArc(i, seq, t.spare)
+		t.spare = b
+		if len(b) != chunk {
+			panic(fmt.Sprintf("mpi: NeighborAlltoallInt64: rank %d received %d words from %d, want chunk %d", c.rank, len(b), nb, chunk))
 		}
-		copy(recv[i*chunk:(i+1)*chunk], m.data)
-		m.release()
+		copy(recv[i*chunk:(i+1)*chunk], b)
 	}
 	c.event(EvNbrColl, -1, int(seq), moved, start)
 	return recv
@@ -190,9 +332,11 @@ func (t *Topo) NeighborAlltoallvInt64(send [][]int64) [][]int64 {
 
 // NeighborAlltoallvInt64Into is NeighborAlltoallvInt64 receiving into a
 // caller-supplied slice of per-neighbor buffers (allocated when nil).
-// Each recv[i] is reset to length zero and appended to, so its capacity
-// is reused; the possibly-regrown recv is returned. Transports keep one
-// receive set across rounds so a steady-state exchange allocates nothing.
+// Each recv[i] is replaced by the chunk from neighbor i, and the storage
+// it held passes to the runtime, which copies later chunks into it; the
+// caller must not keep references into the old recv[i]. Transports
+// keep one receive set across rounds, so capacity circulates and a
+// steady-state exchange allocates nothing.
 func (t *Topo) NeighborAlltoallvInt64Into(send, recv [][]int64) [][]int64 {
 	if len(send) != len(t.neighbors) {
 		panic(fmt.Sprintf("mpi: NeighborAlltoallvInt64: len(send)=%d, want degree %d", len(send), len(t.neighbors)))
@@ -203,22 +347,13 @@ func (t *Topo) NeighborAlltoallvInt64Into(send, recv [][]int64) [][]int64 {
 		panic(fmt.Sprintf("mpi: NeighborAlltoallvInt64Into: len(recv)=%d, want degree %d", len(recv), len(t.neighbors)))
 	}
 	c := t.c
-	cost := c.w.cost
 	seq := t.seq
 	t.seq++
 	start := c.ps.now
 	c.ps.rs.NbrCollCount++
-	c.chargeComm(cost.AlphaNbrCall)
-	var moved int64
-	for i, nb := range t.neighbors {
-		bytes := int64(8 * len(send[i]))
-		moved += bytes
-		c.chargeComm(cost.AlphaNbr + cost.BetaNbr*float64(bytes))
-		c.internalSend(nb, t.itag(seq), send[i], cost.AlphaNbr, cost.BetaNbr, (*RankStats).noteNbrChunk)
-	}
-	for i, nb := range t.neighbors {
-		recv[i] = c.internalRecvAppend(nb, t.itag(seq), recv[i])
-	}
+	c.chargeComm(c.w.cost.AlphaNbrCall)
+	moved := t.sendAll(seq, send)
+	t.recvAll(seq, recv)
 	c.event(EvNbrColl, -1, int(seq), moved, start)
 	return recv
 }
