@@ -2,6 +2,9 @@ package main
 
 import (
 	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -87,5 +90,37 @@ func TestDensityPlotEndToEnd(t *testing.T) {
 	}
 	if plotRows != 3 {
 		t.Errorf("found %d density rows, want 3:\n%s", plotRows, out)
+	}
+}
+
+var updateGolden = flag.Bool("update", false, "rewrite golden files")
+
+// TestTimelineGolden pins the whole -timeline output of an NCL matching
+// run byte for byte: the density plot and every rank's wait timeline.
+// Regenerate with -update only for a deliberate change of the cost
+// model or the rendering.
+func TestTimelineGolden(t *testing.T) {
+	code, out, errb := runCLI(t, "-family", "rmat", "-scale", "10", "-p", "8", "-app", "matching", "-model", "ncl", "-timeline")
+	if code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, errb)
+	}
+	if errb != "" {
+		t.Errorf("unexpected stderr %q", errb)
+	}
+	golden := filepath.Join("testdata", "timeline.golden")
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, []byte(out), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to regenerate)", err)
+	}
+	if out != string(want) {
+		t.Errorf("timeline output differs from %s (run with -update to regenerate):\n got:\n%s\nwant:\n%s", golden, out, want)
 	}
 }
