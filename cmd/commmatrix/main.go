@@ -17,6 +17,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/analysis"
 	"repro/internal/bfs"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -24,6 +25,10 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/transport"
 )
+
+// timelineEvents is the per-rank event ring -timeline records blocked
+// intervals into (matchbench's -trace-events default).
+const timelineEvents = 1 << 16
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
@@ -107,7 +112,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "commmatrix:", err)
 			return 2
 		}
-		res, err := matching.Run(g, matching.Options{Procs: *p, Model: m, TrackMatrices: true, TraceWaits: *timeline, Deadline: 10 * time.Minute})
+		opt := matching.Options{Procs: *p, Model: m, TrackMatrices: true, Deadline: 10 * time.Minute}
+		if *timeline {
+			opt.TraceEvents = timelineEvents
+		}
+		res, err := matching.Run(g, opt)
 		if err != nil {
 			fmt.Fprintln(stderr, "commmatrix:", err)
 			return 1
@@ -117,8 +126,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		dump(stdout, res.Report, *bytes, *csv)
 		if *timeline {
 			fmt.Fprintln(stdout, "wait timeline (virtual time left to right; '#' blocked, ':' mixed, '.' busy):")
-			for _, line := range res.Report.RenderTimeline(72) {
+			for _, line := range analysis.Timeline(res.Report, 72) {
 				fmt.Fprintln(stdout, line)
+			}
+			var drops int64
+			for r := 0; r < *p; r++ {
+				drops += res.Report.EventDrops(r)
+			}
+			if drops > 0 {
+				fmt.Fprintf(stderr, "commmatrix: WARNING: matching (%v) dropped %d events — timeline is a prefix view\n", m, drops)
 			}
 		}
 	}

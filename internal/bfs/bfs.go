@@ -10,12 +10,10 @@ package bfs
 
 import (
 	"fmt"
-	"time"
 
-	"repro/internal/distgraph"
+	"repro/internal/driver"
 	"repro/internal/graph"
 	"repro/internal/mpi"
-	"repro/internal/sched"
 	"repro/internal/telemetry"
 	"repro/internal/transport"
 )
@@ -26,33 +24,14 @@ import (
 // each cross arc carries at most one visit record per exchange round.
 const maxVisitsPerCrossArc = 1
 
-// Options configures a distributed BFS run.
-type Options struct {
-	Procs         int
-	Cost          *mpi.CostModel
-	TrackMatrices bool
-	Deadline      time.Duration
-	// TraceWaits records per-rank blocked intervals for
-	// Report.RenderTimeline.
-	TraceWaits bool
-	// TraceEvents, when > 0, enables structured event tracing with a
-	// per-rank ring of this capacity (Report.Events, WriteChromeTrace).
-	TraceEvents int
-	// Model selects the communication model carrying cross-edge frontier
-	// expansions. The zero value is ModelNSR: per-edge nonblocking sends,
-	// as in the Graph500 reference MPI implementation the paper profiles.
-	// Neighborhood models batch per neighbor over the distributed graph
-	// topology — the approach Kandalla et al. study for BFS (the paper's
-	// ref [22]).
-	Model transport.Model
-	// RoundLog, when > 0, enables per-level telemetry with a per-rank
-	// log of this capacity (Result.Telemetry).
-	RoundLog int
-	// Perturb, when enabled, runs under seeded schedule perturbation
-	// (mpi.WithPerturb with PerturbSeed); see internal/sched.
-	Perturb     sched.Profile
-	PerturbSeed uint64
-}
+// Options configures a distributed BFS run. Model selects the
+// communication model carrying cross-edge frontier expansions. Its zero
+// value is ModelNSR: per-edge nonblocking sends, as in the Graph500
+// reference MPI implementation the paper profiles. Neighborhood models
+// batch per neighbor over the distributed graph topology — the approach
+// Kandalla et al. study for BFS (the paper's ref [22]). RoundLog records
+// one telemetry row per level.
+type Options = driver.Options
 
 // Result is the outcome of a BFS.
 type Result struct {
@@ -86,50 +65,13 @@ type Result struct {
 // rather than a loop counter, so a late-delivered visit still assigns
 // and propagates the exact distance.
 func Run(g *graph.CSR, root int, opt Options) (*Result, error) {
-	if opt.Procs < 1 {
-		return nil, fmt.Errorf("bfs: Procs = %d", opt.Procs)
-	}
 	if root < 0 || root >= g.NumVertices() {
 		return nil, fmt.Errorf("bfs: root %d out of range", root)
 	}
-	model := opt.Model
-	d := distgraph.NewBlockDist(g, opt.Procs)
 	parentGlobal := make([]int64, g.NumVertices())
 	levelGlobal := make([]int64, g.NumVertices())
-	var logs []*telemetry.RoundLog
-	if opt.RoundLog > 0 {
-		logs = make([]*telemetry.RoundLog, opt.Procs)
-	}
-
-	opts := make([]mpi.Option, 0, 5)
-	if opt.Cost != nil {
-		opts = append(opts, mpi.WithCost(opt.Cost))
-	}
-	if opt.TrackMatrices {
-		opts = append(opts, mpi.WithMatrices())
-	}
-	if opt.Deadline > 0 {
-		opts = append(opts, mpi.WithDeadline(opt.Deadline))
-	}
-	if opt.TraceWaits {
-		opts = append(opts, mpi.WithWaitTrace())
-	}
-	if opt.TraceEvents > 0 {
-		opts = append(opts, mpi.WithEventTrace(opt.TraceEvents))
-	}
-	if opt.Perturb.Enabled() {
-		opts = append(opts, mpi.WithPerturb(opt.PerturbSeed, opt.Perturb))
-	}
-	rep, err := mpi.Run(opt.Procs, func(c *mpi.Comm) error {
-		l := d.BuildLocal(c.Rank())
-		bk, err := transport.New(model, transport.Deps{
-			Comm:      c,
-			Local:     l,
-			MaxPerArc: maxVisitsPerCrossArc,
-		})
-		if err != nil {
-			return fmt.Errorf("bfs: %w", err)
-		}
+	dr, err := driver.Run("bfs", g, opt, transport.Deps{MaxPerArc: maxVisitsPerCrossArc}, func(rk *driver.Rank) (int, int64) {
+		c, l, bk := rk.Comm, rk.Local, rk.T
 		nOwned := l.NumOwned()
 		parent := make([]int64, nOwned)
 		level := make([]int64, nOwned)
@@ -140,21 +82,9 @@ func Run(g *graph.CSR, root int, opt Options) (*Result, error) {
 		}
 		c.AccountAlloc(int64(nOwned) * 17)
 
-		// Per-level telemetry reads the transport's live volume ledger
-		// (O(P) memory: only when telemetry actually records) and counts
-		// cross-edge visit records in the request slot.
-		var log *telemetry.RoundLog
-		var vol []int64
+		// Per-level telemetry counts cross-edge visit records in the
+		// request slot.
 		var sent, recvd, visited int64
-		if logs != nil {
-			log = telemetry.NewRoundLog(opt.RoundLog, opt.Procs)
-			log.SetTotal(int64(nOwned))
-			logs[c.Rank()] = log
-			if v, ok := bk.(transport.Volumer); ok {
-				vol = v.VolumeByDest()
-			}
-		}
-
 		frontier := make([]int32, 0, nOwned)
 		next := make([]int32, 0, nOwned)
 		visit := func(v, from, lvl int64) {
@@ -181,10 +111,7 @@ func Run(g *graph.CSR, root int, opt Options) (*Result, error) {
 			visit(int64(root), int64(root), 0)
 		}
 		frontier, next = next, frontier[:0]
-		if log != nil {
-			log.Append(c.Now(), int64(len(frontier)), visited, sent, 0, 0, c.QueuedBytes(), vol)
-		}
-
+		rk.Record(int64(len(frontier)), visited, sent, 0, 0)
 		async, isAsync := bk.(transport.Async)
 		round, _ := bk.(transport.Round)
 		// pump moves records once: one exchange round, or (async) a batch
@@ -233,30 +160,26 @@ func Run(g *graph.CSR, root int, opt Options) (*Result, error) {
 				}
 			}
 			frontier, next = next, frontier[:0]
-			if log != nil {
-				log.Append(c.Now(), int64(len(frontier)), visited, sent, 0, 0, c.QueuedBytes(), vol)
-			}
+			rk.Record(int64(len(frontier)), visited, sent, 0, 0)
 			if nextTotal == 0 {
 				break
 			}
 		}
 		bk.Finish()
-		transport.Release(bk)
 		copy(parentGlobal[l.Lo:l.Hi], parent)
 		copy(levelGlobal[l.Lo:l.Hi], level)
-		return nil
-	}, opts...)
+		// Result.Levels comes from the level vector, not a round count.
+		return 0, sent
+	})
 	if err != nil {
 		return nil, err
 	}
 
 	res := &Result{
-		Parent: make([]int, len(parentGlobal)),
-		Level:  make([]int, len(levelGlobal)),
-		Report: rep,
-	}
-	if logs != nil {
-		res.Telemetry = telemetry.Merge(logs)
+		Parent:    make([]int, len(parentGlobal)),
+		Level:     make([]int, len(levelGlobal)),
+		Report:    dr.Report,
+		Telemetry: dr.Telemetry,
 	}
 	for v := range parentGlobal {
 		res.Parent[v] = int(parentGlobal[v])

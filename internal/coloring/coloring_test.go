@@ -7,7 +7,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/matching"
+	"repro/internal/transport"
 )
 
 func opts(p int, m Model) Options {
@@ -89,7 +89,7 @@ func TestParallelAllModelsAllFamilies(t *testing.T) {
 		"grid":   gen.Grid2D(15, 18),
 	}
 	for name, g := range families {
-		for _, m := range matching.Models {
+		for _, m := range transport.Models {
 			t.Run(name+"/"+m.String(), func(t *testing.T) {
 				assertMatchesSerial(t, g, 6, m)
 			})
@@ -99,19 +99,19 @@ func TestParallelAllModelsAllFamilies(t *testing.T) {
 
 func TestParallelTinyAndManyRanks(t *testing.T) {
 	tiny := graph.FromEdges(2, []graph.Edge{{U: 0, V: 1, W: 1}})
-	for _, m := range matching.Models {
+	for _, m := range transport.Models {
 		assertMatchesSerial(t, tiny, 3, m)
 		assertMatchesSerial(t, tiny, 1, m)
 	}
 	g := gen.Social(1500, 8, 5)
-	assertMatchesSerial(t, g, 24, matching.NCL)
-	assertMatchesSerial(t, g, 24, matching.NSR)
+	assertMatchesSerial(t, g, 24, transport.ModelNCL)
+	assertMatchesSerial(t, g, 24, transport.ModelNSR)
 }
 
 func TestMessageBoundOnePerCrossArc(t *testing.T) {
 	g := gen.Social(1000, 10, 6)
 	const p = 8
-	res, err := Run(g, opts(p, matching.NSR))
+	res, err := Run(g, opts(p, transport.ModelNSR))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestVerifyCatchesBadColorings(t *testing.T) {
 func TestColoringQuick(t *testing.T) {
 	f := func(seed int64, pRaw, mRaw uint8) bool {
 		p := int(pRaw%5) + 1
-		m := matching.Models[int(mRaw)%len(matching.Models)]
+		m := transport.Models[int(mRaw)%len(transport.Models)]
 		g := gen.SBP(100, 5, 6, 0.4, seed)
 		want := Serial(g)
 		got, err := Run(g, opts(p, m))
@@ -162,7 +162,7 @@ func TestColoringQuick(t *testing.T) {
 func TestColoringModelTimesDiffer(t *testing.T) {
 	g := gen.Social(3000, 10, 7)
 	times := map[Model]float64{}
-	for _, m := range []Model{matching.NSR, matching.RMA, matching.NCL} {
+	for _, m := range []Model{transport.ModelNSR, transport.ModelRMA, transport.ModelNCL} {
 		res, err := Run(g, opts(8, m))
 		if err != nil {
 			t.Fatal(err)
@@ -174,8 +174,8 @@ func TestColoringModelTimesDiffer(t *testing.T) {
 	}
 	// Coloring sends one message per cross arc: aggregation should help
 	// here too on a volume-heavy social graph.
-	if times[matching.NCL] >= times[matching.NSR] {
+	if times[transport.ModelNCL] >= times[transport.ModelNSR] {
 		t.Logf("note: NCL (%g) did not beat NSR (%g) on this input; acceptable but unexpected",
-			times[matching.NCL], times[matching.NSR])
+			times[transport.ModelNCL], times[transport.ModelNSR])
 	}
 }

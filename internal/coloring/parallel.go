@@ -3,43 +3,21 @@ package coloring
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"repro/internal/distgraph"
+	"repro/internal/driver"
 	"repro/internal/graph"
-	"repro/internal/matching"
 	"repro/internal/mpi"
-	"repro/internal/sched"
 	"repro/internal/telemetry"
 	"repro/internal/transport"
 )
 
-// Model aliases the matching package's communication models so both
-// owner-computes applications share one vocabulary (NSR, RMA, NCL, MBP,
-// NCLI).
-type Model = matching.Model
+// Model aliases the communication models every owner-computes
+// application shares (NSR, RMA, NCL, MBP, NCLI, NSRA, NCLC).
+type Model = transport.Model
 
 // Options configures a distributed coloring run.
-type Options struct {
-	Procs         int
-	Model         Model
-	Cost          *mpi.CostModel
-	TrackMatrices bool
-	Deadline      time.Duration
-	// TraceWaits records per-rank blocked intervals for
-	// Report.RenderTimeline.
-	TraceWaits bool
-	// TraceEvents, when > 0, enables structured event tracing with a
-	// per-rank ring of this capacity (Report.Events, WriteChromeTrace).
-	TraceEvents int
-	// RoundLog, when > 0, enables round-level telemetry with a per-rank
-	// log of this capacity (ParallelResult.Telemetry).
-	RoundLog int
-	// Perturb, when enabled, runs under seeded schedule perturbation
-	// (mpi.WithPerturb with PerturbSeed); see internal/sched.
-	Perturb     sched.Profile
-	PerturbSeed uint64
-}
+type Options = driver.Options
 
 // ParallelResult is the outcome of a distributed coloring.
 type ParallelResult struct {
@@ -65,16 +43,8 @@ const (
 // cross arc exactly once.
 const maxMessagesPerCrossArc = 1
 
-// volumeOf returns a transport's live per-destination byte ledger for
-// round telemetry (all in-repo backends implement transport.Volumer).
-func volumeOf(t transport.Sender) []int64 {
-	if v, ok := t.(transport.Volumer); ok {
-		return v.VolumeByDest()
-	}
-	return nil
-}
-
-// engine holds one rank's Jones-Plassmann state.
+// jpEngine holds one rank's Jones-Plassmann state; it implements
+// driver.Protocol.
 type jpEngine struct {
 	c  *mpi.Comm
 	l  *distgraph.Local
@@ -89,7 +59,6 @@ type jpEngine struct {
 
 	pendingArcs int64 // cross arcs whose announcement we have not received
 	work        []int32
-	rounds      int
 	sent        int64
 	ncolored    int64 // owned vertices colored so far
 }
@@ -175,8 +144,8 @@ func (e *jpEngine) tryColor(vi int32) {
 	}
 }
 
-// handleMessage ingests one color announcement.
-func (e *jpEngine) handleMessage(ctx, x, packed int64) {
+// Handle ingests one color announcement.
+func (e *jpEngine) Handle(ctx, x, packed int64) {
 	e.c.Compute(1)
 	if ctx != ctxColor {
 		panic(fmt.Sprintf("coloring: unknown context %d", ctx))
@@ -208,18 +177,15 @@ func (e *jpEngine) arcIndex(x, y int64) int64 {
 	return e.g.Offsets[x] + int64(i)
 }
 
-// record appends one telemetry row at a driver round boundary. The
-// announcement count rides in the request slot; Jones-Plassmann has no
-// reject/invalid traffic. One nil check when off.
-func (e *jpEngine) record(log *telemetry.RoundLog, vol []int64) {
-	if log == nil {
-		return
-	}
-	log.Append(e.c.Now(), e.pendingArcs, e.ncolored, e.sent, 0, 0,
-		e.c.QueuedBytes(), vol)
+// Record returns one telemetry row's counters. The announcement count
+// rides in the request slot; Jones-Plassmann has no reject/invalid
+// traffic.
+func (e *jpEngine) Record() (unresolved, done, req, rej, inv int64) {
+	return e.pendingArcs, e.ncolored, e.sent, 0, 0
 }
 
-func (e *jpEngine) drainWork() {
+// DrainWork colors every queued vertex whose wait count has dropped.
+func (e *jpEngine) DrainWork() {
 	for len(e.work) > 0 {
 		vi := e.work[len(e.work)-1]
 		e.work = e.work[:len(e.work)-1]
@@ -227,127 +193,40 @@ func (e *jpEngine) drainWork() {
 	}
 }
 
-func (e *jpEngine) start() {
+// Start colors every owned vertex that waits on nobody, and the local
+// cascade that releases.
+func (e *jpEngine) Start() {
 	for vi := int32(0); vi < int32(e.l.NumOwned()); vi++ {
 		e.tryColor(vi)
-		e.drainWork()
+		e.DrainWork()
 	}
 }
 
-// uncolored counts owned vertices still waiting.
-func (e *jpEngine) uncolored() int64 {
-	var n int64
-	for _, c := range e.color {
-		if c < 0 {
-			n++
-		}
-	}
-	return n
+// Remaining is the rank's outstanding work: a rank is done when all
+// owned vertices are colored and all expected announcements have been
+// consumed (it owes nothing after its own announcements, sent eagerly
+// at coloring time).
+func (e *jpEngine) Remaining() int64 {
+	return int64(len(e.color)) - e.ncolored + e.pendingArcs
 }
 
 // Run executes distributed Jones-Plassmann coloring on g. The result is
 // identical to Serial(g) for every model — the same uniqueness oracle as
 // the matching suite.
 func Run(g *graph.CSR, opt Options) (*ParallelResult, error) {
-	if opt.Procs < 1 {
-		return nil, fmt.Errorf("coloring: Procs = %d", opt.Procs)
-	}
-	d := distgraph.NewBlockDist(g, opt.Procs)
 	colors := make([]int64, g.NumVertices())
-	rounds := make([]int, opt.Procs)
-	sent := make([]int64, opt.Procs)
-	var logs []*telemetry.RoundLog
-	if opt.RoundLog > 0 {
-		logs = make([]*telemetry.RoundLog, opt.Procs)
-	}
-
-	opts := make([]mpi.Option, 0, 5)
-	if opt.Cost != nil {
-		opts = append(opts, mpi.WithCost(opt.Cost))
-	}
-	if opt.TrackMatrices {
-		opts = append(opts, mpi.WithMatrices())
-	}
-	if opt.Deadline > 0 {
-		opts = append(opts, mpi.WithDeadline(opt.Deadline))
-	}
-	if opt.TraceWaits {
-		opts = append(opts, mpi.WithWaitTrace())
-	}
-	if opt.TraceEvents > 0 {
-		opts = append(opts, mpi.WithEventTrace(opt.TraceEvents))
-	}
-	if opt.Perturb.Enabled() {
-		opts = append(opts, mpi.WithPerturb(opt.PerturbSeed, opt.Perturb))
-	}
-	rep, err := mpi.Run(opt.Procs, func(c *mpi.Comm) error {
-		l := d.BuildLocal(c.Rank())
-		var log *telemetry.RoundLog
-		if logs != nil {
-			log = telemetry.NewRoundLog(opt.RoundLog, opt.Procs)
-			log.SetTotal(int64(l.NumOwned()))
-			logs[c.Rank()] = log
-		}
-		bk, err := transport.New(opt.Model, transport.Deps{
-			Comm:      c,
-			Local:     l,
-			MaxPerArc: maxMessagesPerCrossArc,
+	dr, err := driver.Run("coloring", g, opt, transport.Deps{MaxPerArc: maxMessagesPerCrossArc},
+		func(rk *driver.Rank) (int, int64) {
+			e := newJPEngine(rk.Comm, rk.Local, rk.T)
+			rounds := rk.Loop(e)
+			for vi, col := range e.color {
+				colors[e.lo+vi] = int64(col)
+			}
+			return rounds, e.sent
 		})
-		if err != nil {
-			return fmt.Errorf("coloring: %w", err)
-		}
-		var vol []int64
-		if log != nil {
-			vol = volumeOf(bk) // O(P) ledger: only when telemetry records
-		}
-		e := newJPEngine(c, l, bk)
-		e.start()
-		e.record(log, vol)
-		switch opt.Model.Flavor() {
-		case transport.FlavorAsync:
-			t := bk.(transport.Async)
-			// A rank is done when all owned vertices are colored and all
-			// expected announcements have been consumed (it owes nothing
-			// after its own announcements, sent eagerly at coloring time).
-			for e.uncolored() > 0 || e.pendingArcs > 0 {
-				progressed := t.Drain(e.handleMessage)
-				e.drainWork()
-				e.record(log, vol)
-				if e.uncolored() == 0 && e.pendingArcs == 0 {
-					break
-				}
-				if !progressed && len(e.work) == 0 {
-					t.Block()
-				}
-				e.rounds++
-			}
-			t.Finish()
-		default:
-			t := bk.(transport.Round)
-			for {
-				t.Exchange(e.handleMessage)
-				e.drainWork()
-				total := c.AllreduceScalarInt64(mpi.OpSum, e.uncolored()+e.pendingArcs)
-				e.rounds++
-				e.record(log, vol)
-				if total == 0 {
-					t.Finish()
-					break
-				}
-			}
-		}
-		transport.Release(bk)
-		for vi, col := range e.color {
-			colors[e.lo+vi] = int64(col)
-		}
-		rounds[c.Rank()] = e.rounds
-		sent[c.Rank()] = e.sent
-		return nil
-	}, opts...)
 	if err != nil {
 		return nil, err
 	}
-
 	res := &Result{Color: make([]int, len(colors))}
 	for v, c := range colors {
 		res.Color[v] = int(c)
@@ -355,15 +234,5 @@ func Run(g *graph.CSR, opt Options) (*ParallelResult, error) {
 			res.Colors = int(c) + 1
 		}
 	}
-	pr := &ParallelResult{Result: res, Report: rep}
-	if logs != nil {
-		pr.Telemetry = telemetry.Merge(logs)
-	}
-	for r := 0; r < opt.Procs; r++ {
-		if rounds[r] > pr.Rounds {
-			pr.Rounds = rounds[r]
-		}
-		pr.Messages += sent[r]
-	}
-	return pr, nil
+	return &ParallelResult{Result: res, Rounds: dr.Rounds, Messages: dr.Messages, Report: dr.Report, Telemetry: dr.Telemetry}, nil
 }

@@ -7,7 +7,6 @@ import (
 	"repro/internal/distgraph"
 	"repro/internal/graph"
 	"repro/internal/mpi"
-	"repro/internal/telemetry"
 	"repro/internal/transport"
 )
 
@@ -35,9 +34,9 @@ const (
 )
 
 // engine executes the distributed locally-dominant matching protocol for
-// one rank. It is transport-agnostic: drivers feed incoming messages to
-// handleMessage and drain the local work stack; outgoing messages go
-// through the sender.
+// one rank. It is transport-agnostic: it implements driver.Protocol, so
+// driver.Loop feeds incoming messages to Handle and drains the local
+// work stack; outgoing messages go through the sender.
 type engine struct {
 	c  *mpi.Comm
 	l  *distgraph.Local
@@ -60,9 +59,8 @@ type engine struct {
 	arcFlags []uint8 // indexed by global arc index - arcBase
 	arcBase  int64
 
-	pending  int64   // unresolved cross arcs owned by this rank (the paper's nghosts sum)
-	work     []int32 // stack of owned-vertex local indices to re-point
-	rounds   int
+	pending  int64    // unresolved cross arcs owned by this rank (the paper's nghosts sum)
+	work     []int32  // stack of owned-vertex local indices to re-point
 	sent     int64    // protocol messages pushed (diagnostic)
 	kind     [4]int64 // cumulative pushes by context (ctxRequest..ctxInvalid)
 	nmatched int64    // owned vertices currently matched
@@ -136,17 +134,13 @@ func (e *engine) push(ctx, x, y int64) {
 	e.tr.Send(e.l.Owner(int(x)), ctx, x, y)
 }
 
-// record appends one telemetry row at a driver round boundary: the
-// rank's clock, unresolved cross-arc count, matched vertices, the
-// cumulative per-kind protocol counters, the live mailbox occupancy and
-// the transport's per-destination volume ledger. One nil check when off.
-func (e *engine) record(log *telemetry.RoundLog, vol []int64) {
-	if log == nil {
-		return
-	}
-	log.Append(e.c.Now(), e.pending, e.nmatched,
-		e.kind[ctxRequest], e.kind[ctxReject], e.kind[ctxInvalid],
-		e.c.QueuedBytes(), vol)
+// Remaining implements driver.Protocol: the unresolved cross arcs.
+func (e *engine) Remaining() int64 { return e.pending }
+
+// Record implements driver.Protocol: unresolved cross arcs, matched
+// vertices and the cumulative per-kind protocol counters.
+func (e *engine) Record() (unresolved, done, req, rej, inv int64) {
+	return e.pending, e.nmatched, e.kind[ctxRequest], e.kind[ctxReject], e.kind[ctxInvalid]
 }
 
 // availableArc reports whether the neighbor at row position pos of owned
@@ -284,9 +278,9 @@ func (e *engine) afterMatch(vi int32) {
 	}
 }
 
-// handleMessage implements PROCESSINCOMINGDATA (Algorithm 6) for one
-// record targeting owned vertex x from remote vertex y.
-func (e *engine) handleMessage(ctx, x, y int64) {
+// Handle implements PROCESSINCOMINGDATA (Algorithm 6) for one record
+// targeting owned vertex x from remote vertex y.
+func (e *engine) Handle(ctx, x, y int64) {
 	e.c.Compute(1)
 	if !e.owns(x) {
 		panic(fmt.Sprintf("matching: rank %d received message for vertex %d outside [%d,%d)", e.c.Rank(), x, e.lo, e.hi))
@@ -337,8 +331,8 @@ func (e *engine) handleMessage(ctx, x, y int64) {
 	}
 }
 
-// drainWork runs findMate for every queued re-point request.
-func (e *engine) drainWork() {
+// DrainWork runs findMate for every queued re-point request.
+func (e *engine) DrainWork() {
 	for len(e.work) > 0 {
 		vi := e.work[len(e.work)-1]
 		e.work = e.work[:len(e.work)-1]
@@ -346,13 +340,13 @@ func (e *engine) drainWork() {
 	}
 }
 
-// start runs the first phase: every owned vertex points at its best
+// Start runs the first phase: every owned vertex points at its best
 // candidate (Algorithm 3 lines 2-3), including the cascade of local
 // matches that triggers.
-func (e *engine) start() {
+func (e *engine) Start() {
 	for vi := int32(0); vi < int32(e.l.NumOwned()); vi++ {
 		e.findMate(vi)
-		e.drainWork()
+		e.DrainWork()
 	}
 }
 

@@ -4,9 +4,9 @@ import (
 	"fmt"
 
 	"repro/internal/distgraph"
+	"repro/internal/driver"
 	"repro/internal/graph"
 	"repro/internal/mpi"
-	"repro/internal/telemetry"
 	"repro/internal/transport"
 )
 
@@ -75,7 +75,7 @@ type mxEngine struct {
 	q  *mpi.Quiesce
 
 	lo, hi   int
-	ptr      []int32   // scan cursor into the (ascending) adjacency row
+	ptr      []int32 // scan cursor into the (ascending) adjacency row
 	state    []uint8
 	mate     []int64   // global partner id, or -1
 	deferred [][]int64 // proposer ids parked at a pending target
@@ -130,13 +130,8 @@ func (e *mxEngine) push(ctx, x, y int64) {
 // columns reuse the round-log schema with the analogous meaning per
 // slot: unresolved = unsettled vertices, req = proposals,
 // rej = declines, inv = accepts.
-func (e *mxEngine) record(log *telemetry.RoundLog, vol []int64) {
-	if log == nil {
-		return
-	}
-	log.Append(e.c.Now(), e.unsettled, e.nmatched,
-		e.kind[mxPropose], e.kind[mxDecline], e.kind[mxAccept],
-		e.c.QueuedBytes(), vol)
+func (e *mxEngine) record(rk *driver.Rank) {
+	rk.Record(e.unsettled, e.nmatched, e.kind[mxPropose], e.kind[mxDecline], e.kind[mxAccept])
 }
 
 // setMatched finalizes owned vertex vi with the given partner.
@@ -338,19 +333,15 @@ func (e *mxEngine) writeMates(global []int64) {
 // it), give the termination detector a turn, and park until either
 // application or detector traffic shows up. No collective appears
 // anywhere on the path — termination is detected, not counted.
-func runAsyncMaximal(e *mxEngine, t transport.Async, log *telemetry.RoundLog) {
-	var vol []int64
-	if log != nil {
-		vol = volumeOf(t)
-	}
+func runAsyncMaximal(rk *driver.Rank, e *mxEngine, t transport.Async) {
 	e.startScan()
-	e.record(log, vol)
+	e.record(rk)
 	for {
 		progressed := t.Drain(e.handleMessage)
 		e.drainWork()
 		if progressed {
 			e.epochs++
-			e.record(log, vol)
+			e.record(rk)
 			continue
 		}
 		t.Finish()
@@ -360,7 +351,7 @@ func runAsyncMaximal(e *mxEngine, t transport.Async, log *telemetry.RoundLog) {
 		e.q.Block()
 		e.epochs++
 	}
-	e.record(log, vol)
+	e.record(rk)
 	if e.unsettled != 0 {
 		panic(fmt.Sprintf("matching: rank %d: quiescence detected with %d unsettled vertices (false termination)", e.c.Rank(), e.unsettled))
 	}
@@ -372,19 +363,15 @@ func runAsyncMaximal(e *mxEngine, t transport.Async, log *telemetry.RoundLog) {
 // allreduce deciding termination — the fence sums unsettled vertices
 // and the global send/receive imbalance, the latter covering pipelined
 // backends that hold records a round in flight.
-func runRoundsMaximal(e *mxEngine, t transport.Round, log *telemetry.RoundLog) {
-	var vol []int64
-	if log != nil {
-		vol = volumeOf(t)
-	}
+func runRoundsMaximal(rk *driver.Rank, e *mxEngine, t transport.Round) {
 	e.startScan()
-	e.record(log, vol)
+	e.record(rk)
 	for {
 		t.Exchange(e.handleMessage)
 		e.drainWork()
 		e.epochs++
 		st := e.c.AllreduceInt64(mpi.OpSum, []int64{e.unsettled, e.sent - e.recvd})
-		e.record(log, vol)
+		e.record(rk)
 		if st[0] == 0 && st[1] == 0 {
 			t.Finish()
 			return
@@ -414,86 +401,37 @@ func (t *barrierRound) Exchange(h transport.Handler) int {
 
 func (t *barrierRound) Finish() { t.a.Finish() }
 
-func (t *barrierRound) VolumeByDest() []int64 {
-	if v, ok := t.a.(transport.Volumer); ok {
-		return v.VolumeByDest()
-	}
-	return nil
-}
-
-// runMaximal executes the maximal-matching engine under opt, mirroring
-// Run's plumbing (distribution, transports, telemetry, result
-// assembly). Async-flavor models run barrier-free with a quiescence
-// detector unless ForceRounds pins them to the barrierRound baseline;
-// round-flavor models always use the counting fence.
+// runMaximal executes the maximal-matching engine under opt on the
+// shared driver scaffolding, with its own loops: async-flavor models
+// run barrier-free with a quiescence detector unless ForceRounds pins
+// them to the barrierRound baseline; round-flavor models always use the
+// counting fence. Neither loop is driver.Loop: the async path detects
+// termination instead of counting it, and the fence reduces two words,
+// not one.
 func runMaximal(g *graph.CSR, opt Options) (*ParallelResult, error) {
-	d := distgraph.NewBlockDist(g, opt.Procs)
 	mates := make([]int64, g.NumVertices())
-	epochs := make([]int, opt.Procs)
-	sent := make([]int64, opt.Procs)
-	var logs []*telemetry.RoundLog
-	if opt.RoundLog > 0 {
-		logs = make([]*telemetry.RoundLog, opt.Procs)
-	}
-
-	rep, err := mpi.Run(opt.Procs, func(c *mpi.Comm) error {
-		l := d.BuildLocal(c.Rank())
-		var log *telemetry.RoundLog
-		if logs != nil {
-			log = telemetry.NewRoundLog(opt.RoundLog, opt.Procs)
-			log.SetTotal(int64(l.NumOwned()))
-			logs[c.Rank()] = log
-		}
-		t, err := transport.New(opt.Model, transport.Deps{
-			Comm:      c,
-			Local:     l,
-			MaxPerArc: maximalMaxPerArc,
-			AggBatch:  aggBatchRecords,
+	res, err := driver.Run("matching", g, opt.driverOptions(),
+		transport.Deps{MaxPerArc: maximalMaxPerArc, AggBatch: aggBatchRecords},
+		func(rk *driver.Rank) (int, int64) {
+			async := opt.Model.Flavor() == transport.FlavorAsync
+			var q *mpi.Quiesce
+			if async && !opt.ForceRounds {
+				q = mpi.NewQuiesce(rk.Comm)
+			}
+			e := newMxEngine(rk.Comm, rk.Local, rk.T, q)
+			switch {
+			case q != nil:
+				runAsyncMaximal(rk, e, rk.T.(transport.Async))
+			case async:
+				runRoundsMaximal(rk, e, &barrierRound{a: rk.T.(transport.Async), c: rk.Comm})
+			default:
+				runRoundsMaximal(rk, e, rk.T.(transport.Round))
+			}
+			e.writeMates(mates)
+			return e.epochs, e.sent
 		})
-		if err != nil {
-			return fmt.Errorf("matching: %w", err)
-		}
-		async := opt.Model.Flavor() == transport.FlavorAsync && !opt.ForceRounds
-		var q *mpi.Quiesce
-		if async {
-			q = mpi.NewQuiesce(c)
-		}
-		e := newMxEngine(c, l, t, q)
-		switch {
-		case async:
-			runAsyncMaximal(e, t.(transport.Async), log)
-		case opt.Model.Flavor() == transport.FlavorAsync:
-			runRoundsMaximal(e, &barrierRound{a: t.(transport.Async), c: c}, log)
-		default:
-			runRoundsMaximal(e, t.(transport.Round), log)
-		}
-		transport.Release(t)
-		e.writeMates(mates)
-		epochs[c.Rank()] = e.epochs
-		sent[c.Rank()] = e.sent
-		return nil
-	}, mpiOptions(opt.Cost, opt.TrackMatrices, opt.Deadline, opt.TraceWaits, opt.TraceEvents, opt.PerturbSeed, opt.Perturb)...)
 	if err != nil {
 		return nil, err
 	}
-
-	mate := make([]int, len(mates))
-	for i, m := range mates {
-		mate[i] = int(m)
-	}
-	pr := &ParallelResult{
-		Result: NewResult(g, mate),
-		Report: rep,
-		Dist:   d,
-	}
-	if logs != nil {
-		pr.Telemetry = telemetry.Merge(logs)
-	}
-	for r := 0; r < opt.Procs; r++ {
-		if epochs[r] > pr.Rounds {
-			pr.Rounds = epochs[r]
-		}
-		pr.Messages += sent[r]
-	}
-	return pr, nil
+	return newParallelResult(g, mates, res), nil
 }

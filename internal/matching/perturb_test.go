@@ -164,7 +164,7 @@ func TestEngineAdversarialInterleavings(t *testing.T) {
 		defer c.Barrier()
 		tr := &captureSender{}
 		e := newEngine(c, d.BuildLocal(0), tr, false, buildSortedAdjacency(g))
-		e.start() // vertex 0 points at ghost 3 and requests; 1-2 match locally
+		e.Start() // vertex 0 points at ghost 3 and requests; 1-2 match locally
 		if e.cand[0] != 3 {
 			t.Errorf("after start: cand[0] = %d, want ghost 3", e.cand[0])
 		}
@@ -172,21 +172,21 @@ func TestEngineAdversarialInterleavings(t *testing.T) {
 
 		// (c) remembered REQUEST then INVALID from the same ghost: ghost 4
 		// requests vertex 0 (non-mutual — 0 points at 3), then dies.
-		e.handleMessage(ctxRequest, 0, 4)
-		e.handleMessage(ctxInvalid, 0, 4)
+		e.Handle(ctxRequest, 0, 4)
+		e.Handle(ctxInvalid, 0, 4)
 		// (a) INVALID then REJECT for the arc to ghost 3 (both sides of a
 		// concurrent deactivation): one resolution, second delivery no-op.
-		e.handleMessage(ctxInvalid, 0, 3)
+		e.Handle(ctxInvalid, 0, 3)
 		if got := pendingAfterStart - e.pending; got != 2 {
 			t.Errorf("resolved %d arcs, want 2 (one per distinct arc)", got)
 		}
-		e.handleMessage(ctxReject, 0, 3)
+		e.Handle(ctxReject, 0, 3)
 		if got := pendingAfterStart - e.pending; got != 2 {
 			t.Errorf("REJECT after INVALID double-resolved the arc (pending now %d)", e.pending)
 		}
 		// Vertex 0 must now re-point past the evicted arcs to ghost 5 —
 		// NOT match with the dead requester 4 via its remembered flag.
-		e.drainWork()
+		e.DrainWork()
 		if e.state[0] == stMatched && e.mate[0] == 4 {
 			t.Fatalf("vertex 0 matched dead ghost 4 via a stale remembered REQUEST")
 		}
@@ -195,13 +195,13 @@ func TestEngineAdversarialInterleavings(t *testing.T) {
 		}
 		// (b) stale REQUEST for an already-resolved arc must be a no-op.
 		before := e.pending
-		e.handleMessage(ctxRequest, 0, 3)
+		e.Handle(ctxRequest, 0, 3)
 		if e.pending != before || (e.state[0] == stMatched && e.mate[0] == 3) {
 			t.Errorf("stale REQUEST revived resolved arc (pending %d->%d, mate[0]=%d)",
 				before, e.pending, e.mate[0])
 		}
 		// Finish the protocol for this rank: ghost 5 accepts.
-		e.handleMessage(ctxRequest, 0, 5)
+		e.Handle(ctxRequest, 0, 5)
 		if e.state[0] != stMatched || e.mate[0] != 5 {
 			t.Errorf("vertex 0 state/mate = %d/%d, want matched with 5", e.state[0], e.mate[0])
 		}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/distgraph"
+	"repro/internal/driver"
 	"repro/internal/graph"
 	"repro/internal/mpi"
 	"repro/internal/sched"
@@ -69,7 +70,9 @@ func ParseEngine(s string) (Engine, error) {
 	return 0, fmt.Errorf("matching: unknown engine %q (want halfapprox or maximal)", s)
 }
 
-// Options configures a distributed matching run.
+// Options configures a distributed matching run. The shared run
+// fields mean what the driver.Options fields of the same names mean;
+// Engine, ForceRounds and EagerReject are matching's own.
 type Options struct {
 	// Procs is the number of simulated MPI ranks. Must be >= 1.
 	Procs int
@@ -93,47 +96,40 @@ type Options struct {
 	// Algorithm 6 (reject-on-sight); see DESIGN.md §3. The result is a
 	// valid matching but not necessarily locally dominant.
 	EagerReject bool
-	// TraceWaits records per-rank blocked intervals for
-	// Report.RenderTimeline.
-	TraceWaits bool
 	// TraceEvents, when > 0, enables structured event tracing with a
 	// per-rank ring of this capacity (Report.Events, WriteChromeTrace).
 	TraceEvents int
 	// RoundLog, when > 0, enables round-level protocol telemetry with a
-	// per-rank log of this capacity (ParallelResult.Telemetry). Rounds
-	// beyond the capacity are dropped, not wrapped; see Series.Drops.
+	// per-rank log of this capacity (ParallelResult.Telemetry).
 	RoundLog int
 	// Perturb, when enabled, runs under seeded schedule perturbation
-	// (mpi.WithPerturb): the runtime varies its legal delivery
-	// reorderings according to PerturbSeed. The default protocol's
-	// result is invariant under it; see internal/sched and DESIGN §4.
+	// (mpi.WithPerturb with PerturbSeed). The default protocol's result
+	// is invariant under it; see internal/sched and DESIGN §4.
 	Perturb     sched.Profile
 	PerturbSeed uint64
 }
 
-// mpiOptions translates the shared runtime knobs to mpi.Run options.
-func mpiOptions(cost *mpi.CostModel, matrices bool, deadline time.Duration, waits bool, events int, pseed uint64, perturb sched.Profile) []mpi.Option {
-	opts := make([]mpi.Option, 0, 6)
-	if cost != nil {
-		opts = append(opts, mpi.WithCost(cost))
+// driverOptions is the run configuration shared with the other
+// applications.
+func (o Options) driverOptions() driver.Options {
+	return driver.Options{
+		Procs: o.Procs, Model: o.Model, Cost: o.Cost,
+		TrackMatrices: o.TrackMatrices, Deadline: o.Deadline,
+		TraceEvents: o.TraceEvents, RoundLog: o.RoundLog,
+		Perturb: o.Perturb, PerturbSeed: o.PerturbSeed,
 	}
-	if matrices {
-		opts = append(opts, mpi.WithMatrices())
-	}
-	if deadline > 0 {
-		opts = append(opts, mpi.WithDeadline(deadline))
-	}
-	if waits {
-		opts = append(opts, mpi.WithWaitTrace())
-	}
-	if events > 0 {
-		opts = append(opts, mpi.WithEventTrace(events))
-	}
-	if perturb.Enabled() {
-		opts = append(opts, mpi.WithPerturb(pseed, perturb))
-	}
-	return opts
 }
+
+// MaxMessagesPerCrossEdge bounds the protocol traffic per cross edge per
+// direction: one REQUEST plus at most one REJECT or INVALID (paper
+// §IV-B: "a vertex may send at most 2 messages to a ghost vertex"). The
+// RMA window regions and the collective aggregation buffers are sized
+// with it.
+const MaxMessagesPerCrossEdge = 2
+
+// aggBatchRecords is the per-destination batch size of the NSRA model's
+// aggregating Send-Recv transport.
+const aggBatchRecords = 64
 
 // ParallelResult is the outcome of a distributed run.
 type ParallelResult struct {
@@ -159,77 +155,42 @@ type ParallelResult struct {
 // is set (in which case it is still a valid matching); EngineMaximal
 // dispatches to the asynchronous maximal-matching engine instead.
 func Run(g *graph.CSR, opt Options) (*ParallelResult, error) {
-	if opt.Procs < 1 {
-		return nil, fmt.Errorf("matching: Procs = %d", opt.Procs)
-	}
 	if opt.Engine == EngineMaximal {
 		return runMaximal(g, opt)
 	}
-	d := distgraph.NewBlockDist(g, opt.Procs)
 	// The sorted-adjacency arena is a pure function of the graph; build
 	// it once, in parallel, outside the simulated world — every rank's
-	// engine then shares the read-only arena (and still charges its local
-	// share of the setup to its virtual clock, as before).
+	// engine then shares the read-only arena (and still charges its
+	// local share of the setup to its virtual clock).
 	order := buildSortedAdjacency(g)
 	mates := make([]int64, g.NumVertices())
-	rounds := make([]int, opt.Procs)
-	sent := make([]int64, opt.Procs)
-	var logs []*telemetry.RoundLog
-	if opt.RoundLog > 0 {
-		logs = make([]*telemetry.RoundLog, opt.Procs)
-	}
-
-	rep, err := mpi.Run(opt.Procs, func(c *mpi.Comm) error {
-		l := d.BuildLocal(c.Rank())
-		var log *telemetry.RoundLog
-		if logs != nil {
-			log = telemetry.NewRoundLog(opt.RoundLog, opt.Procs)
-			log.SetTotal(int64(l.NumOwned()))
-			logs[c.Rank()] = log
-		}
-		t, err := transport.New(opt.Model, transport.Deps{
-			Comm:      c,
-			Local:     l,
-			MaxPerArc: MaxMessagesPerCrossEdge,
-			AggBatch:  aggBatchRecords,
+	res, err := driver.Run("matching", g, opt.driverOptions(),
+		transport.Deps{MaxPerArc: MaxMessagesPerCrossEdge, AggBatch: aggBatchRecords},
+		func(rk *driver.Rank) (int, int64) {
+			e := newEngine(rk.Comm, rk.Local, rk.T, opt.EagerReject, order)
+			rounds := rk.Loop(e)
+			e.writeMates(mates)
+			return rounds, e.sent
 		})
-		if err != nil {
-			return fmt.Errorf("matching: %w", err)
-		}
-		e := newEngine(c, l, t, opt.EagerReject, order)
-		switch opt.Model.Flavor() {
-		case transport.FlavorAsync:
-			runAsync(e, t.(transport.Async), log)
-		default:
-			runRounds(e, t.(transport.Round), log)
-		}
-		transport.Release(t)
-		e.writeMates(mates)
-		rounds[c.Rank()] = e.rounds
-		sent[c.Rank()] = e.sent
-		return nil
-	}, mpiOptions(opt.Cost, opt.TrackMatrices, opt.Deadline, opt.TraceWaits, opt.TraceEvents, opt.PerturbSeed, opt.Perturb)...)
 	if err != nil {
 		return nil, err
 	}
+	return newParallelResult(g, mates, res), nil
+}
 
+// newParallelResult assembles a matching run's outcome from the global
+// mate vector and the driver's ledgers.
+func newParallelResult(g *graph.CSR, mates []int64, res *driver.Result) *ParallelResult {
 	mate := make([]int, len(mates))
 	for i, m := range mates {
 		mate[i] = int(m)
 	}
-	pr := &ParallelResult{
-		Result: NewResult(g, mate),
-		Report: rep,
-		Dist:   d,
+	return &ParallelResult{
+		Result:    NewResult(g, mate),
+		Rounds:    res.Rounds,
+		Messages:  res.Messages,
+		Report:    res.Report,
+		Dist:      res.Dist,
+		Telemetry: res.Telemetry,
 	}
-	if logs != nil {
-		pr.Telemetry = telemetry.Merge(logs)
-	}
-	for r := 0; r < opt.Procs; r++ {
-		if rounds[r] > pr.Rounds {
-			pr.Rounds = rounds[r]
-		}
-		pr.Messages += sent[r]
-	}
-	return pr, nil
 }

@@ -36,8 +36,7 @@ func completeGraph(n int) *graph.CSR {
 
 // pump moves records one step according to the backend's flavor and
 // returns after a global fence confirms every sent record was handled —
-// the loop shape all drivers share (see matching.runRounds/runAsync and
-// bfs.Run).
+// the loop shape all drivers share (see driver.Rank.Loop and bfs.Run).
 func pump(c *mpi.Comm, bk transport.Backend, h transport.Handler, sent, recvd *int64) {
 	for {
 		if async, ok := bk.(transport.Async); ok {
